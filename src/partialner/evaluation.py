@@ -3,6 +3,11 @@
 A predicted span counts as a match iff a gold span in the same sentence has
 the same category, start and end.  Micro-averaged P/R/F1 with a per-category
 breakdown; zero denominators score 0 rather than NaN.
+
+`span_f1` over `decode_bio` spans is the reference scorer.  Training-time
+validation uses the flat form: spans of sentence-concatenated tags as int64
+keys (`bio_span_keys`, `span_keys`) scored by `key_f1`, which gives the same
+micro-F1 bit for bit.
 """
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, EntitySpan, decode_bio
+from .corpus import Corpus, EntitySpan, LabelScheme, decode_bio
 
 
 def _prf(matches: int, predicted: int, gold: int) -> tuple[float, float, float]:
@@ -63,6 +68,54 @@ def span_f1(predicted: Sequence[Iterable[EntitySpan]],
         p, r, f, n_gold, n_pred, matches,
         per_category={cat: _prf(*c) for cat, c in ordered.items()},
         category_counts={cat: tuple(c) for cat, c in ordered.items()})
+
+
+def _keys(starts: np.ndarray, ends: np.ndarray, cats: np.ndarray,
+          total: int, scheme: LabelScheme) -> np.ndarray:
+    # flat token positions identify the sentence, so one key per span suffices
+    span = starts.astype(np.int64) * (total + 1) + ends
+    return span * len(scheme.categories) + cats
+
+
+def bio_span_keys(tags: np.ndarray, offsets: np.ndarray,
+                  scheme: LabelScheme) -> np.ndarray:
+    """Keys of the BIO spans in sentence-concatenated tag indices.
+
+    The spans are exactly `decode_bio`'s, sentence by sentence: a stray I-
+    opens a span, a category change inside an I- run splits it, and a
+    sentence boundary closes it.  `offsets` are the (n + 1,) sentence
+    offsets into `tags`.
+    """
+    total = tags.size
+    inside = tags > 0
+    cat = (tags - 1) // 2  # -1 for O
+    first = np.zeros(total + 1, dtype=bool)
+    first[offsets[:-1]] = True
+    first = first[:total]
+    prev_cat = np.concatenate(([-1], cat[:-1]))
+    begins = inside & ((tags - 1) % 2 == 0)
+    opens = inside & (begins | first | (prev_cat != cat))
+    continues = inside & ~opens
+    closes = inside & ~np.append(continues[1:], False)
+    starts = np.flatnonzero(opens)
+    return _keys(starts, np.flatnonzero(closes) + 1, cat[starts], total, scheme)
+
+
+def span_keys(spans: Sequence[Iterable[EntitySpan]], offsets: np.ndarray,
+              scheme: LabelScheme) -> np.ndarray:
+    """`bio_span_keys` for per-sentence span lists, such as gold spans."""
+    pos = {c: i for i, c in enumerate(scheme.categories)}
+    flat = [(base + s.start, base + s.end, pos[s.category])
+            for base, sentence in zip(offsets[:-1].tolist(), spans)
+            for s in set(sentence)]
+    starts, ends, cats = np.array(flat, dtype=np.int64).reshape(-1, 3).T
+    return _keys(starts, ends, cats, int(offsets[-1]), scheme)
+
+
+def key_f1(predicted: np.ndarray, gold: np.ndarray) -> float:
+    """Micro-F1 of unique span keys; equals `span_f1(...).f1` on the same spans."""
+    matches = np.intersect1d(predicted, gold).size
+    return _prf(matches, predicted.size, gold.size)[2]
 
 
 def predict(model, sentences) -> list[list[EntitySpan]]:

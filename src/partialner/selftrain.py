@@ -82,11 +82,41 @@ def self_train(init_model: tagger.TaggerModel,
                config: SelfTrainConfig) -> tuple[tagger.TaggerModel, StageTrace]:
     """Iterated distillation from a periodically refreshed frozen teacher.
 
-    Teacher and student both start as copies of `init_model`.  Teacher
-    targets are recomputed lazily per batch (identical to materializing them
-    per refresh window, since the teacher is frozen in between).  Returns the
+    Teacher and student both start as copies of `init_model`.  Returns the
     student checkpoint with the best validation F1 seen across the stage,
     the pre-update model included as iteration 0.
+
+    Without guidance or hard targets the student's targets are its own
+    outputs, so every gradient is exactly zero and no epoch moves it.  That
+    stage is computed in closed form: the trace, the refresh checkpoints and
+    the returned model are the ones `_self_train_loop` would produce.
+    """
+    if config.guidance or config.hard_targets:
+        return _self_train_loop(init_model, partial, val, config)
+    val_enc, val_gold = tagger.validation_set(val, config.tagger)
+    f1 = tagger.validation_f1(init_model, val_enc, val_gold)
+    epochs = config.self_train_epochs
+    if config.self_train_patience is not None:
+        # nothing improves, so patience runs out after exactly that many epochs
+        epochs = min(epochs, config.self_train_patience)
+    period = config.teacher_refresh_period
+    refreshes = list(range(period, epochs + 1, period))
+    if config.checkpoint_dir:
+        for epoch in refreshes:
+            tagger.save_checkpoint(init_model, os.path.join(
+                config.checkpoint_dir, f"teacher_epoch{epoch:03d}.npz"))
+    return init_model.copy(), StageTrace("self_train", [f1] * (epochs + 1),
+                                         refreshes, 0)
+
+
+def _self_train_loop(init_model: tagger.TaggerModel,
+                     partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
+                     config: SelfTrainConfig) -> tuple[tagger.TaggerModel, StageTrace]:
+    """The SGD loop of `self_train`.
+
+    Teacher targets are recomputed lazily per batch (identical to
+    materializing them per refresh window, since the teacher is frozen in
+    between).
     """
     cfg = config.tagger
     teacher = init_model.copy()
@@ -112,8 +142,7 @@ def self_train(init_model: tagger.TaggerModel,
         if over_rows:
             override[covered] = np.concatenate(over_rows, axis=0)
 
-    val_enc = tagger.encode_tokens([s.tokens for s in val.sentences], cfg)
-    val_gold = val.gold_spans()
+    val_enc, val_gold = tagger.validation_set(val, cfg)
 
     trace = StageTrace("self_train", [])
     f1 = tagger.validation_f1(student, val_enc, val_gold)
@@ -140,12 +169,13 @@ def self_train(init_model: tagger.TaggerModel,
         f1 = tagger.validation_f1(student, val_enc, val_gold)
         trace.val_f1.append(f1)
         if f1 > best_f1:
-            best_f1, best_model, best_iter = f1, student.copy(), epoch
+            best_f1, best_iter = f1, epoch
+            best_model.load_from(student)
             since_best = 0
         else:
             since_best += 1
         if epoch % config.teacher_refresh_period == 0:
-            teacher = student.copy()
+            teacher.load_from(student)
             trace.refresh_epochs.append(epoch)
             if config.checkpoint_dir:
                 tagger.save_checkpoint(teacher, os.path.join(

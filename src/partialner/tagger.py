@@ -22,7 +22,7 @@ import numpy as np
 
 from . import evaluation
 from .annotation import EntityAnnotationSet, one_hot_rows
-from .corpus import Corpus, LabelScheme, Sentence, decode_bio
+from .corpus import Corpus, LabelScheme, Sentence
 from .rng import STREAM_INIT, STREAM_TRAIN, seeded_rng
 
 BOUNDARY_TOKEN = "__boundary__"  # reserved padding word, hashed like any other
@@ -249,11 +249,13 @@ def flat_loss_and_grads(model: TaggerModel, ids: np.ndarray, flags: np.ndarray,
     dx = dpre @ model.w1.T
     cfg = model.config
     dslot = dx.reshape(-1, cfg.slots, cfg.embed_dim + 2)[:, :, :cfg.embed_dim]
-    flat_ids = ids.reshape(-1)
-    uniq, inverse = np.unique(flat_ids, return_inverse=True)
-    rows = np.zeros((uniq.size, cfg.embed_dim))
-    np.add.at(rows, inverse, dslot.reshape(-1, cfg.embed_dim))
-    return loss, Gradients(gw1, gb1, gw2, gb2, uniq, rows)
+    uniq, inverse = np.unique(ids.reshape(-1), return_inverse=True)
+    # bincount sums each bin from 0.0 in occurrence order, as np.add.at
+    # would, so the rows are bit-identical to the unbuffered scatter
+    d = cfg.embed_dim
+    bins = (inverse[:, None] * d + np.arange(d)).reshape(-1)
+    rows = np.bincount(bins, weights=dslot.reshape(-1))
+    return loss, Gradients(gw1, gb1, gw2, gb2, uniq, rows.reshape(uniq.size, d))
 
 
 def _batch_arrays(model: TaggerModel, sentences, targets,
@@ -388,14 +390,24 @@ def _training_targets(data, scheme: LabelScheme,
                     "expected Corpus or SoftDataset")
 
 
+def validation_set(val: Corpus, config: TaggerConfig,
+                   ) -> tuple[EncodedTokens, np.ndarray]:
+    """Encoded validation tokens and their gold span keys, built once per stage."""
+    val_enc = encode_tokens([s.tokens for s in val.sentences], config)
+    return val_enc, evaluation.span_keys(val.gold_spans(), val_enc.offsets, val.scheme)
+
+
 def validation_f1(model: TaggerModel, val_enc: EncodedTokens,
-                  val_gold: list[list]) -> float:
-    """Span micro-F1 of argmax predictions over a pre-encoded validation set."""
+                  val_gold: np.ndarray) -> float:
+    """Span micro-F1 of argmax predictions over a pre-encoded validation set.
+
+    `val_gold` holds the gold span keys from `validation_set`.  Equals
+    `evaluation.span_f1` over per-sentence `decode_bio` spans bit for bit.
+    """
     probs = forward_flat(model, val_enc.ids, val_enc.flags)[2]
     tags = np.argmax(probs, axis=1)
-    pred = [decode_bio(tags[a:b].tolist(), model.scheme)
-            for a, b in zip(val_enc.offsets[:-1], val_enc.offsets[1:])]
-    return evaluation.span_f1(pred, val_gold).f1
+    pred = evaluation.bio_span_keys(tags, val_enc.offsets, model.scheme)
+    return evaluation.key_f1(pred, val_gold)
 
 
 def train(model: TaggerModel, data, val: Corpus,
@@ -419,8 +431,7 @@ def train(model: TaggerModel, data, val: Corpus,
     lengths = enc.lengths
     n = len(token_seqs)
     sent_tok = [np.arange(a, b) for a, b in zip(enc.offsets[:-1], enc.offsets[1:])]
-    val_enc = encode_tokens([s.tokens for s in val.sentences], config)
-    val_gold = val.gold_spans()
+    val_enc, val_gold = validation_set(val, config)
 
     rng = seeded_rng(config.seed, STREAM_TRAIN)
     lr = config.learning_rate
@@ -446,7 +457,7 @@ def train(model: TaggerModel, data, val: Corpus,
         f1s.append(f1)
         if f1 > best_f1:
             best_f1, best_epoch, since_best = f1, epoch, 0
-            best_model = model.copy()
+            best_model.load_from(model)
         else:
             since_best += 1
             if config.halve_on_plateau:

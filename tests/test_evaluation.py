@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from partialner.corpus import EntitySpan, decode_bio
-from partialner.evaluation import EvalResult, evaluate_model, predict, span_f1
+from partialner.corpus import EntitySpan, LabelScheme, decode_bio
+from partialner.evaluation import (EvalResult, bio_span_keys, evaluate_model, key_f1,
+                                   predict, span_f1, span_keys)
 from partialner.tagger import TaggerConfig, TaggerModel, forward
 
 
@@ -171,3 +172,70 @@ class TestPredict:
         manual = span_f1(predict(model, tiny_corpus.sentences), tiny_corpus.gold_spans())
         assert res == manual
         assert res.gold_count == tiny_corpus.total_entities()
+
+
+SCHEME = LabelScheme(("PER", "LOC", "ORG"))
+tag_sentences_st = st.lists(
+    st.lists(st.integers(0, SCHEME.tag_count - 1), min_size=1, max_size=8),
+    min_size=1, max_size=6)
+
+
+def flat(sentences):
+    """Concatenated tags and (n + 1,) offsets of per-sentence tag lists."""
+    offsets = np.cumsum([0] + [len(t) for t in sentences])
+    return np.concatenate([np.asarray(t, dtype=np.int64) for t in sentences]), offsets
+
+
+def reference_keys(sentences):
+    _, offsets = flat(sentences)
+    return span_keys([decode_bio(t, SCHEME) for t in sentences], offsets, SCHEME)
+
+
+class TestFlatSpanKeys:
+    """The one-pass extractor against `decode_bio` run sentence by sentence."""
+
+    @given(tag_sentences_st)
+    def test_matches_decode_bio(self, sentences):
+        tags, offsets = flat(sentences)
+        got = bio_span_keys(tags, offsets, SCHEME)
+        assert np.array_equal(np.sort(got), np.sort(reference_keys(sentences)))
+        assert got.size == sum(len(decode_bio(t, SCHEME)) for t in sentences)
+
+    @pytest.mark.parametrize("sentences", [
+        [[2, 2, 0, 4]],              # stray I- opens a span, twice
+        [[1, 2, 4, 4, 2]],           # category switches inside an I- run
+        [[1, 1, 2]],                 # B- after B- starts a new span
+        [[1, 2], [2, 2], [2]],       # sentence boundaries close I- runs
+        [[3], [4], [0], [5], [6], [1], [2]],  # length-1 sentences, every tag index
+    ])
+    def test_hand_cases(self, sentences):
+        tags, offsets = flat(sentences)
+        assert np.array_equal(np.sort(bio_span_keys(tags, offsets, SCHEME)),
+                              np.sort(reference_keys(sentences)))
+
+    @pytest.mark.parametrize("tag", range(SCHEME.tag_count))
+    def test_every_tag_index(self, tag):
+        sentences = [[tag], [tag, tag], [0, tag, tag, 0]]
+        tags, offsets = flat(sentences)
+        assert np.array_equal(np.sort(bio_span_keys(tags, offsets, SCHEME)),
+                              np.sort(reference_keys(sentences)))
+
+    @given(tag_sentences_st, st.randoms(use_true_random=False))
+    def test_key_f1_equals_span_f1(self, gold_tags, random):
+        # mostly the gold tags, so predictions match often but not always
+        pred_tags = [[t if random.random() < 0.7 else random.randrange(SCHEME.tag_count)
+                      for t in g] for g in gold_tags]
+        pred, offsets = flat(pred_tags)
+        gold = [decode_bio(t, SCHEME) for t in gold_tags]
+        want = span_f1([decode_bio(t, SCHEME) for t in pred_tags], gold).f1
+        got = key_f1(bio_span_keys(pred, offsets, SCHEME), span_keys(gold, offsets, SCHEME))
+        assert got.hex() == want.hex()
+
+    @given(sentence_pairs_st)
+    def test_span_keys_score_like_span_f1(self, pairs):
+        # every generated span ends before 20, so 20-token sentences hold them
+        offsets = np.arange(len(pairs) + 1) * 20
+        pred = [p for p, _ in pairs]
+        gold = [g for _, g in pairs]
+        got = key_f1(span_keys(pred, offsets, SCHEME), span_keys(gold, offsets, SCHEME))
+        assert got.hex() == span_f1(pred, gold).f1.hex()

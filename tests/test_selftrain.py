@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from partialner import selftrain
 from partialner.annotation import mask_entities, partial_from_labels
 from partialner.corpus import SynthConfig, generate_synthetic
 from partialner.evaluation import evaluate_model
@@ -16,6 +17,12 @@ from partialner.selftrain import (
     self_train,
 )
 from partialner.tagger import TaggerConfig, TaggerModel, load_checkpoint
+
+
+def bits(arr):
+    """Raw 64-bit patterns, so -0.0 and 0.0 differ."""
+    arr = np.ascontiguousarray(arr)
+    return arr.view(np.int64) if arr.dtype == np.float64 else arr
 
 
 def fast_config(**overrides) -> SelfTrainConfig:
@@ -134,6 +141,73 @@ class TestSelfTrain:
         assert names == ["teacher_epoch002.npz", "teacher_epoch004.npz"]
         loaded = load_checkpoint(str(tmp_path / names[0]))
         assert loaded.scheme.categories == val.scheme.categories
+
+
+class TestClosedFormStage:
+    """`self_train` without guidance or hard targets skips SGD; the loop is
+    the reference it must reproduce bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def inits(self, splits, masked):
+        _, val = splits
+        cfg = fast_config()
+        fitted, _ = ner_fit(masked, val, cfg)
+        return {"untrained": TaggerModel.init(cfg.tagger, val.scheme),
+                "fitted": fitted}
+
+    @pytest.mark.parametrize("which", ["untrained", "fitted"])
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"self_train_patience": 3},
+        {"teacher_refresh_period": 4},
+        {"checkpoint_dir": True},
+    ], ids=["defaults", "patience3", "refresh4", "checkpoints"])
+    def test_matches_the_sgd_loop(self, splits, masked, inits, tmp_path,
+                                  which, overrides):
+        _, val = splits
+        init = inits[which]
+        runs = {}
+        for name, fn in (("closed", self_train), ("loop", selftrain._self_train_loop)):
+            extra = dict(overrides)
+            if extra.pop("checkpoint_dir", False):
+                extra["checkpoint_dir"] = str(tmp_path / name)
+                (tmp_path / name).mkdir()
+            runs[name] = fn(init, masked, val, fast_config(self_train_epochs=6, **extra))
+        (closed, closed_trace), (loop, loop_trace) = runs["closed"], runs["loop"]
+        assert closed is not init
+        for key, arr in loop.params().items():
+            assert np.array_equal(bits(closed.params()[key]), bits(arr)), key
+        assert [f.hex() for f in closed_trace.val_f1] == [f.hex() for f in loop_trace.val_f1]
+        assert closed_trace.refresh_epochs == loop_trace.refresh_epochs
+        assert closed_trace.best_iteration == loop_trace.best_iteration == 0
+        if "checkpoint_dir" in overrides:
+            names = sorted(p.name for p in (tmp_path / "loop").iterdir())
+            assert names
+            assert sorted(p.name for p in (tmp_path / "closed").iterdir()) == names
+            for name in names:
+                with np.load(tmp_path / "closed" / name) as a, \
+                        np.load(tmp_path / "loop" / name) as b:
+                    assert a.files == b.files
+                    for key in a.files:
+                        assert np.array_equal(bits(a[key]), bits(b[key])), (name, key)
+
+    @pytest.mark.parametrize("overrides,takes_loop", [
+        ({}, False),
+        ({"guidance": True}, True),
+        ({"hard_targets": True}, True),
+    ])
+    def test_only_the_fixpoint_skips_the_loop(self, splits, masked, inits,
+                                              monkeypatch, overrides, takes_loop):
+        _, val = splits
+        calls = []
+        loop = selftrain._self_train_loop
+
+        def spy(*args):
+            calls.append(args)
+            return loop(*args)
+        monkeypatch.setattr(selftrain, "_self_train_loop", spy)
+        self_train(inits["fitted"], masked, val, fast_config(**overrides))
+        assert len(calls) == int(takes_loop)
 
 
 class TestRunMethod:

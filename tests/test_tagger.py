@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from partialner.annotation import one_hot_rows
-from partialner.corpus import Corpus, LabelScheme, Sentence, SynthConfig, generate_synthetic
-from partialner.evaluation import evaluate_model
+from partialner.corpus import (Corpus, LabelScheme, Sentence, SynthConfig, decode_bio,
+                               generate_synthetic)
+from partialner.evaluation import evaluate_model, span_f1
 from partialner.tagger import (
     BOUNDARY_TOKEN,
     EncodedTokens,
@@ -16,6 +17,7 @@ from partialner.tagger import (
     batch_loss,
     encode_tokens,
     finite_difference_check,
+    flat_loss_and_grads,
     forward,
     forward_flat,
     grad,
@@ -24,6 +26,8 @@ from partialner.tagger import (
     sgd_step,
     soft_cross_entropy,
     train,
+    validation_f1,
+    validation_set,
 )
 
 
@@ -243,6 +247,74 @@ class TestGradients:
         ]
         got = batch_loss(model, [short, long], targets)
         assert got == pytest.approx(np.mean(per_sentence), rel=1e-12)
+
+
+def add_at_embed_grads(model, ids, flags, targets, weights):
+    """Reference embedding gradient: the same backprop, scattered with np.add.at."""
+    _, h, probs = forward_flat(model, ids, flags)
+    dlogits = (probs - targets) * weights[:, None]
+    dpre = (dlogits @ model.w2.T) * (1.0 - h * h)
+    dx = dpre @ model.w1.T
+    cfg = model.config
+    dslot = dx.reshape(-1, cfg.slots, cfg.embed_dim + 2)[:, :, :cfg.embed_dim]
+    uniq, inverse = np.unique(ids.reshape(-1), return_inverse=True)
+    rows = np.zeros((uniq.size, cfg.embed_dim))
+    np.add.at(rows, inverse, dslot.reshape(-1, cfg.embed_dim))
+    return uniq, rows
+
+
+class TestEmbeddingScatter:
+    @pytest.mark.parametrize("window,buckets", [(1, 8), (2, 4), (2, 1 << 16)])
+    def test_bit_identical_to_add_at(self, scheme, window, buckets):
+        # a 6-word vocabulary, short sentences and few buckets repeat ids heavily,
+        # the __boundary__ bucket included; zero-weight sentences add signed zeros
+        rng = np.random.default_rng(window * 1000 + buckets)
+        vocab = ["Anna", "met", "Bob", "in", "Paris", "1999"]
+        cfg = small_config(window=window, hash_buckets=buckets)
+        boundary = encode_tokens([(BOUNDARY_TOKEN,)], cfg).ids[0, 0]
+        for trial in range(20):
+            model = TaggerModel.init(small_config(window=window, hash_buckets=buckets,
+                                                  seed=trial), scheme)
+            lengths = rng.integers(1, 5, size=rng.integers(1, 12))
+            seqs = [tuple(rng.choice(vocab, size=n)) for n in lengths]
+            enc = encode_tokens(seqs, cfg)
+            targets = rng.dirichlet(np.ones(scheme.tag_count), size=enc.ids.shape[0])
+            scale = np.where(rng.random(lengths.size) < 0.2, 0.0, 1.0 / lengths.size)
+            weights = np.repeat(scale / lengths, lengths)
+            got = flat_loss_and_grads(model, enc.ids, enc.flags, targets, weights)[1]
+            uniq, rows = add_at_embed_grads(model, enc.ids, enc.flags, targets, weights)
+            assert boundary in got.embed_ids
+            assert np.array_equal(got.embed_ids, uniq)
+            assert np.array_equal(got.embed_rows.view(np.int64), rows.view(np.int64))
+
+
+class TestValidationF1:
+    @pytest.fixture(scope="class")
+    def models(self, learnable):
+        trn, val = learnable
+        out = [TaggerModel.init(small_config(seed=s), val.scheme) for s in range(3)]
+        zeroed = TaggerModel.init(small_config(), val.scheme)
+        for arr in zeroed.params().values():
+            arr[:] = 0.0
+        out.append(zeroed)  # predicts O everywhere
+        for epochs, lr in ((1, 0.05), (3, 0.3), (8, 0.3)):
+            cfg = small_config(max_epochs=epochs, patience=epochs, learning_rate=lr)
+            out.append(train(TaggerModel.init(cfg, val.scheme), trn, val, cfg)[0])
+        return out
+
+    def test_equals_span_f1_over_decode_bio(self, learnable, models):
+        _, val = learnable
+        val_enc, val_gold = validation_set(val, small_config())
+        scores = set()
+        for model in models:
+            probs = forward_flat(model, val_enc.ids, val_enc.flags)[2]
+            pred = [decode_bio(np.argmax(probs[a:b], axis=1).tolist(), val.scheme)
+                    for a, b in zip(val_enc.offsets[:-1], val_enc.offsets[1:])]
+            want = span_f1(pred, val.gold_spans()).f1
+            got = validation_f1(model, val_enc, val_gold)
+            assert got.hex() == want.hex()
+            scores.add(got)
+        assert len(scores) >= 4  # the models really disagree
 
 
 def unlearnable_splits(scheme):
