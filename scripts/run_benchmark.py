@@ -3,9 +3,8 @@
 
 Thin wrapper over `partialner experiment` that defaults to the full
 benchmark config.  Use --smoke for a two-minute sanity matrix instead.
-The full matrix is embarrassingly parallel across cells; with the default
-worker count (one per core) it finishes well inside two hours on a
-four-core machine.
+The full matrix is embarrassingly parallel across cells; the default
+worker count is one per core.  Speed is measured by perfbench/, not here.
 """
 import argparse
 import os

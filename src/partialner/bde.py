@@ -8,6 +8,7 @@ LineageRecord and re-verified before the targets are used.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import struct
 from dataclasses import dataclass, field, replace
@@ -140,13 +141,47 @@ def _with_seed(config: selftrain.SelfTrainConfig, seed: int) -> selftrain.SelfTr
     return replace(config, tagger=replace(config.tagger, seed=seed))
 
 
+class _Handover:
+    """Cross-fit estimates waiting for the next call with equal inputs.
+
+    Holds the estimates of one (partial, val) corpus pair; a call with another
+    pair drops them.  Each entry is a private copy and is handed over once.
+    """
+
+    def __init__(self):
+        self.corpora: tuple | None = None
+        self.estimates: dict = {}
+
+    def take(self, corpora: tuple, key: tuple):
+        if corpora != self.corpora:
+            self.corpora, self.estimates = corpora, {}
+        return self.estimates.pop(key, None)
+
+    def put(self, key: tuple, soft: tagger.SoftDataset, lineage: LineageRecord) -> None:
+        self.estimates[key] = (replace(soft, dists=[d.copy() for d in soft.dists]),
+                               copy.deepcopy(lineage))
+
+
+_handover = _Handover()
+
+
 def estimate_base(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
                   config: BdeConfig) -> tuple[tagger.SoftDataset, LineageRecord]:
     """Per fold, train the inner method on the complement and score the fold.
 
     The assembled SoftDataset carries each sentence's kept-entity set so the
-    final stage can optionally train with guidance.
+    final stage can optionally train with guidance.  The estimate does not
+    depend on `config.final_method`, so it is computed once for the two final
+    methods: the result is held until the next call with equal corpora and
+    equal `k`, `inner_method`, `seed` and `selftrain`, which takes it (after
+    verifying its lineage again) instead of recomputing it.
     """
+    corpora = (tuple(partial), val)
+    key = (config.k, config.inner_method, config.seed, config.selftrain)
+    held = _handover.take(corpora, key)
+    if held is not None:
+        held[1].verify()
+        return held
     n = len(partial)
     part = partition(n, config.k, derive_seed(config.seed, 0))
     dists: list[np.ndarray | None] = [None] * n
@@ -167,6 +202,7 @@ def estimate_base(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
     lineage.verify()
     soft = tagger.SoftDataset(tuple(p.sentence for p in partial), tuple(dists),
                               val.scheme, tuple(p.known for p in partial))
+    _handover.put(key, soft, lineage)
     return soft, lineage
 
 

@@ -107,6 +107,10 @@ class ExperimentConfig:
             MethodSpec.parse(m)
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("duplicate methods")
+        if self.bde_k < 2:
+            raise ConfigError(f"bde_k must be >= 2, got {self.bde_k}")
+        if self.workers is not None and self.workers < 1:
+            raise ConfigError(f"workers must be >= 1 or unset, got {self.workers}")
 
     @staticmethod
     def from_dict(data: Mapping) -> "ExperimentConfig":
@@ -286,20 +290,23 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> str:
 
     Writes results.csv (one row per cell, in config order), summary.md
     (mean +/- std per method and fraction) and config_echo.json.  Cells are
-    independent; with workers > 1 they run in a process pool, collected in
-    submission order so the output is identical to a serial run.
+    independent; with workers > 1 they run in a process pool, one (fraction,
+    seed) group per task, and the output is identical to a serial run.
     """
     os.makedirs(out_dir, exist_ok=True)
     cache_dir = os.path.join(out_dir, "masks")
     lineage_dir = os.path.join(out_dir, "lineage")
     os.makedirs(lineage_dir, exist_ok=True)
-    cells = [(m, f, s) for m in config.methods
-             for f in config.fractions for s in config.seeds]
+    # Cells run one (fraction, seed) group at a time, each group in one
+    # process, so the two bde: finals of a group share one cross-fit estimate.
+    groups = [(f, s) for f in config.fractions for s in config.seeds]
+    cells = [(m, f, s) for f, s in groups for m in config.methods]
     workers = config.workers if config.workers is not None else os.cpu_count() or 1
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(config, cache_dir, lineage_dir)) as pool:
-            records = list(pool.map(_pool_cell, cells))
+            records = list(pool.map(_pool_cell, cells,
+                                    chunksize=len(config.methods)))
     else:
         train, dev, test = load_corpora(config)
         masks = {f: masked_partial(train, f, config.mask_seed, cache_dir)
@@ -310,6 +317,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> str:
             records.append(run_cell(MethodSpec.parse(method), partial, kept,
                                     dev, test, config, fraction, seed,
                                     lineage_dir))
+    n = len(config.methods)  # back to config order: method, fraction, seed
+    records = [records[g * n + j] for j in range(n) for g in range(len(groups))]
     results_path = os.path.join(out_dir, RESULTS_NAME)
     with open(results_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,6 +1,7 @@
 """Shared fixtures: label schemes, hand-built corpora, synthetic splits."""
 import pytest
 
+from partialner import bde
 from partialner.corpus import (Corpus, EntitySpan, LabelScheme, Sentence,
                                SynthConfig, encode_bio, generate_synthetic)
 from partialner.experiment import ExperimentConfig, load_corpora
@@ -61,3 +62,18 @@ def small_splits():
 def bench_splits():
     """The default benchmark corpora: 2000/500/500 synthetic sentences."""
     return load_corpora(ExperimentConfig())
+
+
+@pytest.fixture
+def estimate_spy(monkeypatch):
+    """An empty cross-fit hand-over, and the fold partitions drawn since:
+    one per cross-fit estimate actually computed in this process."""
+    monkeypatch.setattr(bde, "_handover", bde._Handover())
+    calls = []
+    real = bde.partition
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(bde, "partition", spy)
+    return calls

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from partialner import bde
 from partialner.annotation import mask_entities
 from partialner.bde import (
     BdeConfig,
@@ -254,3 +255,94 @@ class TestTrainOnBase:
         model, val_f1, traces = train_on_base(soft, val, cfg)
         assert val_f1 == pytest.approx(evaluate_model(model, val).f1)
         assert traces[0].val_f1[traces[0].best_iteration] == pytest.approx(val_f1)
+
+
+def snapshot(out: BdeOutput, lineage_path: str) -> dict:
+    """Every output of a run as exact bits."""
+    with open(lineage_path, encoding="utf-8") as fh:
+        lineage_csv = fh.read()
+    return {"soft": [d.view(np.int64).copy() for d in out.soft.dists],
+            "known": out.soft.known,
+            "lineage": lineage_csv,
+            "params": {k: v.view(np.int64).copy() for k, v in out.model.params().items()},
+            "val_f1": out.val_f1.hex(),
+            "traces": [(t.stage, [f.hex() for f in t.val_f1], t.best_iteration)
+                       for t in out.traces]}
+
+
+def assert_same_bits(a: dict, b: dict) -> None:
+    assert len(a["soft"]) == len(b["soft"])
+    for x, y in zip(a["soft"], b["soft"]):
+        np.testing.assert_array_equal(x, y)
+    assert a["params"].keys() == b["params"].keys()
+    for name in a["params"]:
+        np.testing.assert_array_equal(a["params"][name], b["params"][name])
+    for key in ("known", "lineage", "val_f1", "traces"):
+        assert a[key] == b[key], key
+
+
+class TestEstimateHandover:
+    FINALS = ("supervised", "guided_bond")
+
+    def run(self, masked, val, final, path):
+        out = run_bde(masked, val, BdeConfig(final_method=final,
+                                             selftrain=fast_selftrain()),
+                      lineage_path=path)
+        return out, snapshot(out, path)
+
+    def test_pair_equals_two_fresh_runs(self, splits, masked, tmp_path,
+                                        estimate_spy, monkeypatch):
+        _, val = splits
+        fresh = {}
+        for final in self.FINALS:
+            monkeypatch.setattr(bde, "_handover", bde._Handover())
+            fresh[final] = self.run(masked, val, final, str(tmp_path / f"fresh_{final}"))[1]
+        assert len(estimate_spy) == 2
+        monkeypatch.setattr(bde, "_handover", bde._Handover())
+        first, first_bits = self.run(masked, val, "supervised", str(tmp_path / "a"))
+        for d in first.soft.dists:   # the held estimate is a private copy
+            d.fill(0.5)
+        first.lineage.sentence_fold.reverse()
+        _, second_bits = self.run(masked, val, "guided_bond", str(tmp_path / "b"))
+        assert len(estimate_spy) == 3
+        assert_same_bits(first_bits, fresh["supervised"])
+        assert_same_bits(second_bits, fresh["guided_bond"])
+
+    def test_handed_over_once_and_verified(self, splits, masked, estimate_spy,
+                                           monkeypatch):
+        _, val = splits
+        verified = []
+        real_verify = LineageRecord.verify
+        monkeypatch.setattr(LineageRecord, "verify",
+                            lambda self: verified.append(1) or real_verify(self))
+        config = BdeConfig(selftrain=fast_selftrain())
+        estimate_base(masked, val, config)
+        assert (len(estimate_spy), len(verified)) == (1, 1)
+        estimate_base(masked, val, replace(config, final_method="guided_bond"))
+        assert (len(estimate_spy), len(verified)) == (1, 2)
+        estimate_base(masked, val, replace(config, final_method="guided_bond"))
+        assert (len(estimate_spy), len(verified)) == (2, 3)
+
+    @pytest.mark.parametrize("change", ["seed", "k", "inner", "selftrain",
+                                        "partial", "val"])
+    def test_any_other_input_misses(self, splits, masked, estimate_spy, change):
+        trn, val = splits
+        config = BdeConfig(inner_method="supervised", selftrain=fast_selftrain())
+        estimate_base(masked, val, config)
+        other_partial, other_val = masked, val
+        if change == "seed":
+            config = replace(config, seed=1)
+        elif change == "k":
+            config = replace(config, k=3)
+        elif change == "inner":
+            config = replace(config, inner_method="bond")
+        elif change == "selftrain":
+            config = replace(config, selftrain=replace(config.selftrain,
+                                                       self_train_epochs=3))
+        elif change == "partial":
+            other_partial = mask_entities(trn, 0.2, seed=10)[0]
+            assert len(other_partial) == len(masked) and other_partial != masked
+        else:
+            other_val = Corpus(val.sentences[::-1], val.scheme, val.name)
+        estimate_base(other_partial, other_val, config)
+        assert len(estimate_spy) == 2

@@ -90,6 +90,9 @@ class TestExperimentConfig:
         dict(methods=()),
         dict(methods=("mystery",)),
         dict(methods=("bond", "bond")),
+        dict(bde_k=1),
+        dict(workers=0),
+        dict(workers=-2),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ConfigError):
@@ -299,6 +302,26 @@ class TestRunExperiment:
         wall = RESULT_COLUMNS.index("wall_ms")
         strip = lambda rows: [r[:wall] + r[wall + 1:] for r in rows]
         assert strip(read_rows(second)) == strip(read_rows(results))
+
+
+class TestSharedEstimate:
+    """Both bde: finals of one inner method share each cross-fit estimate."""
+
+    METHODS = ("supervised", "bde:supervised+supervised", "bde:supervised+guided_bond")
+
+    def test_serial_and_pooled_rows_agree_in_config_order(self, tmp_path, estimate_spy):
+        cfg = smoke_config(methods=self.METHODS)
+        serial = read_rows(run_experiment(cfg, str(tmp_path / "serial")))
+        assert len(estimate_spy) == len(cfg.fractions) * len(cfg.seeds)
+        pooled = read_rows(run_experiment(smoke_config(methods=self.METHODS, workers=2),
+                                          str(tmp_path / "pooled")))
+        wall = RESULT_COLUMNS.index("wall_ms")
+        strip = lambda rows: [r[:wall] + r[wall + 1:] for r in rows]
+        assert strip(pooled) == strip(serial)
+        assert [tuple(r[:3]) for r in serial[1:]] == [
+            (m, repr(f), str(s)) for m in cfg.methods
+            for f in cfg.fractions for s in cfg.seeds]
+        assert all(r[RESULT_COLUMNS.index("error")] == "" for r in serial[1:])
 
 
 class TestVerifyReport:
