@@ -66,6 +66,18 @@ def one_hot_rows(labels: Sequence[int], tag_count: int) -> np.ndarray:
     return out
 
 
+def pin_rows(rows: np.ndarray, positions: np.ndarray, labels) -> np.ndarray:
+    """Copy of flat (T, C) `rows` with row positions[k] set to one_hot(labels[k]).
+
+    The pinned rows are exact 0.0/1.0 vectors; every other row is copied
+    bitwise.  This is the guidance correction of both `guide_correct` and
+    guided self-training.
+    """
+    out = np.array(rows, dtype=np.float64)
+    out[positions] = one_hot_rows(labels, out.shape[1])
+    return out
+
+
 def guide_correct(dists: np.ndarray, known: EntityAnnotationSet,
                   labels: Sequence[int]) -> np.ndarray:
     """Pin distributions at known-entity tokens to one-hots of their labels.
@@ -77,20 +89,14 @@ def guide_correct(dists: np.ndarray, known: EntityAnnotationSet,
     dists = np.asarray(dists, dtype=np.float64)
     if dists.ndim != 2:
         raise ValueError(f"expected an (L, C) array, got shape {dists.shape}")
-    length, c = dists.shape
+    length = dists.shape[0]
     if len(labels) != length:
         raise ValueError(f"{length} distributions for {len(labels)} labels")
-    out = dists.copy()
     for span in known:
         if span.end > length:
             raise ValueError(f"span {span} exceeds sequence length {length}")
-        for k in range(span.start, span.end):
-            label = labels[k]
-            if not 0 <= label < c:
-                raise ValueError(f"label {label} at token {k} out of range [0, {c})")
-            out[k, :] = 0.0
-            out[k, label] = 1.0
-    return out
+    positions = known.covered_indices(length)
+    return pin_rows(dists, positions, [labels[k] for k in positions])
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,7 @@ def estimate_base(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
 
 
 def train_on_base(soft: tagger.SoftDataset, val: Corpus, config: BdeConfig,
-                  ) -> tuple[tagger.TaggerModel, float, list[selftrain.StageTrace]]:
+                  ) -> tuple[tagger.TaggerModel, float, list[tagger.StageTrace]]:
     """Final-stage training on the assembled soft targets.
 
     final_method=supervised fits directly on the distributions;
@@ -216,20 +216,16 @@ def train_on_base(soft: tagger.SoftDataset, val: Corpus, config: BdeConfig,
     """
     cfg = _with_seed(config.selftrain, derive_seed(config.seed, 2))
     model = tagger.TaggerModel.init(cfg.tagger, val.scheme)
-    model, report = tagger.train(model, soft, val, cfg.tagger)
-    # iteration 0 is the initial model, same convention as the other stages
-    fit_trace = selftrain.StageTrace("ner_fit",
-                                     [report.baseline_f1] + list(report.val_f1),
-                                     [], report.best_epoch + 1)
+    model, fit_trace = tagger.train(model, soft, val, cfg.tagger)
     if config.final_method == "supervised":
-        return model, report.best_f1, [fit_trace]
+        return model, fit_trace.best_f1, [fit_trace]
     if soft.known is None:
         raise ValueError("guided final training needs kept-entity sets")
     partial = [PartiallyAnnotatedSentence(s, k)
                for s, k in zip(soft.sentences, soft.known)]
     st_cfg = replace(cfg, guidance=True)
     best, st_trace = selftrain.self_train(model, partial, val, st_cfg)
-    return best, st_trace.val_f1[st_trace.best_iteration], [fit_trace, st_trace]
+    return best, st_trace.best_f1, [fit_trace, st_trace]
 
 
 @dataclass
@@ -238,7 +234,7 @@ class BdeOutput:
 
     model: tagger.TaggerModel
     val_f1: float
-    traces: list[selftrain.StageTrace]
+    traces: list[tagger.StageTrace]
     lineage: LineageRecord
     soft: tagger.SoftDataset
 

@@ -40,18 +40,7 @@ def _load_json(path: str | None) -> dict:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    data = _load_json(args.config)
-    known = {f.name for f in SynthConfig.__dataclass_fields__.values()}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
-    if "categories" in data:
-        data["categories"] = tuple(data["categories"])
-    if data.get("templates") is not None:
-        data["templates"] = tuple(data["templates"])
-    if data.get("gazetteers") is not None:
-        data["gazetteers"] = {c: tuple(v) for c, v in data["gazetteers"].items()}
-    config = SynthConfig(**data)
+    config = SynthConfig.from_dict(_load_json(args.config))
     if args.n_sentences is not None:
         config = replace(config, n_sentences=args.n_sentences)
     if args.seed is not None:
@@ -88,20 +77,13 @@ def _train_method(args: argparse.Namespace):
     dev_c = parse_conll(dev_text, scheme, os.path.basename(args.dev))
     partial = partial_from_labels(train_c)
 
-    overrides = _load_json(args.config)
-    tagger_cfg = tagger.TaggerConfig(**overrides.get("tagger", {}))
-    if args.seed is not None:
-        tagger_cfg = replace(tagger_cfg, seed=args.seed)
-    st_cfg = selftrain.SelfTrainConfig(
-        tagger=tagger_cfg,
-        teacher_refresh_period=overrides.get("teacher_refresh_period", 1),
-        self_train_epochs=overrides.get("self_train_epochs", 20),
-        hard_targets=overrides.get("hard_targets", False))
+    exp = ExperimentConfig.from_dict(_load_json(args.config))
+    seed = exp.tagger.seed if args.seed is None else args.seed
+    st_cfg = exp.selftrain_config(seed)
 
     extras = {}
     if spec.kind == "bde":
-        cfg = bde.BdeConfig(overrides.get("bde_k", 2), spec.inner, spec.final,
-                            st_cfg, seed=tagger_cfg.seed)
+        cfg = bde.BdeConfig(exp.bde_k, spec.inner, spec.final, st_cfg, seed=seed)
         out = bde.run_bde(partial, dev_c, cfg)
         extras["lineage"] = out.lineage
         extras["soft"] = out.soft

@@ -407,6 +407,20 @@ class SynthConfig:
         if self.n_sentences < 0:
             raise ConfigError("n_sentences must be >= 0")
 
+    @staticmethod
+    def from_dict(data: Mapping) -> "SynthConfig":
+        """Config from parsed JSON: lists become tuples, unknown keys are errors."""
+        data = dict(data)
+        unknown = set(data) - set(SynthConfig.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
+        for key in ("categories", "templates"):
+            if data.get(key) is not None:
+                data[key] = tuple(data[key])
+        if data.get("gazetteers") is not None:
+            data["gazetteers"] = {c: tuple(v) for c, v in data["gazetteers"].items()}
+        return SynthConfig(**data)
+
 
 @dataclass(frozen=True)
 class _Slot:

@@ -105,8 +105,9 @@ class ExperimentConfig:
             raise ConfigError("at least one method required")
         for m in self.methods:
             MethodSpec.parse(m)
-        if len(set(self.methods)) != len(self.methods):
-            raise ConfigError("duplicate methods")
+        for name in ("fractions", "seeds", "methods"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ConfigError(f"duplicate {name}")
         if self.bde_k < 2:
             raise ConfigError(f"bde_k must be >= 2, got {self.bde_k}")
         if self.workers is not None and self.workers < 1:
@@ -121,20 +122,13 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown experiment config keys: {sorted(unknown)}")
         if data.get("synth") is not None:
-            s = dict(data["synth"])
-            if "categories" in s:
-                s["categories"] = tuple(s["categories"])
-            if s.get("templates") is not None:
-                s["templates"] = tuple(s["templates"])
-            if s.get("gazetteers") is not None:
-                s["gazetteers"] = {c: tuple(v) for c, v in s["gazetteers"].items()}
-            data["synth"] = SynthConfig(**s)
-        if data.get("tagger") is not None:
-            data["tagger"] = tagger.TaggerConfig(**data["tagger"])
+            data["synth"] = SynthConfig.from_dict(data["synth"])
         for key in ("fractions", "seeds", "methods"):
             if key in data:
                 data[key] = tuple(data[key])
         try:
+            if data.get("tagger") is not None:
+                data["tagger"] = tagger.TaggerConfig(**data["tagger"])
             return ExperimentConfig(**data)
         except TypeError as exc:
             raise ConfigError(f"bad experiment config: {exc}") from None

@@ -17,9 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from . import tagger
-from .annotation import PartiallyAnnotatedSentence, one_hot_rows, to_corpus
+from .annotation import PartiallyAnnotatedSentence, one_hot_rows, pin_rows, to_corpus
 from .corpus import Corpus
-from .rng import STREAM_SELFTRAIN, seeded_rng
+from .rng import STREAM_SELFTRAIN
+from .tagger import StageTrace
 
 METHODS = ("supervised", "bond", "guided_bond")
 
@@ -45,36 +46,12 @@ class SelfTrainConfig:
             raise ValueError("self_train_patience must be >= 1 when set")
 
 
-@dataclass
-class StageTrace:
-    """Per-iteration validation F1 for one training stage."""
-
-    stage: str                  # "ner_fit" or "self_train"
-    val_f1: list[float]         # self_train: index 0 is the initial model
-    refresh_epochs: list[int] = field(default_factory=list)
-    best_iteration: int = 0
-
-    def write_csv(self, path: str) -> None:
-        refreshes = set(self.refresh_epochs)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("stage,iteration,val_f1,teacher_refresh\n")
-            for i, f1 in enumerate(self.val_f1):
-                fh.write(f"{self.stage},{i},{f1!r},{int(i in refreshes)}\n")
-
-
 def ner_fit(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
             config: SelfTrainConfig) -> tuple[tagger.TaggerModel, StageTrace]:
-    """Early-stopped fit on the partial hard labels (masked entities as O).
-
-    Trace iteration 0 is the freshly initialized model, matching the
-    self-train convention, so `best_iteration` is `best_epoch + 1`.
-    """
+    """Early-stopped fit on the partial hard labels (masked entities as O)."""
     train_corpus = to_corpus(partial, val.scheme, "partial-train")
     model = tagger.TaggerModel.init(config.tagger, val.scheme)
-    model, report = tagger.train(model, train_corpus, val, config.tagger)
-    trace = StageTrace("ner_fit", [report.baseline_f1] + list(report.val_f1),
-                       [], report.best_epoch + 1)
-    return model, trace
+    return tagger.train(model, train_corpus, val, config.tagger)
 
 
 def self_train(init_model: tagger.TaggerModel,
@@ -88,103 +65,68 @@ def self_train(init_model: tagger.TaggerModel,
 
     Without guidance or hard targets the student's targets are its own
     outputs, so every gradient is exactly zero and no epoch moves it.  That
-    stage is computed in closed form: the trace, the refresh checkpoints and
-    the returned model are the ones `_self_train_loop` would produce.
+    stage is computed in closed form: the trace (apart from `losses`, left
+    empty), the refresh checkpoints and the returned model are the ones
+    `_distill` would produce.
     """
     if config.guidance or config.hard_targets:
-        return _self_train_loop(init_model, partial, val, config)
+        return _distill(init_model, partial, val, config)
     val_enc, val_gold = tagger.validation_set(val, config.tagger)
     f1 = tagger.validation_f1(init_model, val_enc, val_gold)
-    epochs = config.self_train_epochs
-    if config.self_train_patience is not None:
+    epochs, patience = config.self_train_epochs, config.self_train_patience
+    stopped = patience is not None and patience <= epochs
+    if stopped:
         # nothing improves, so patience runs out after exactly that many epochs
-        epochs = min(epochs, config.self_train_patience)
+        epochs = patience
     period = config.teacher_refresh_period
     refreshes = list(range(period, epochs + 1, period))
     if config.checkpoint_dir:
         for epoch in refreshes:
-            tagger.save_checkpoint(init_model, os.path.join(
-                config.checkpoint_dir, f"teacher_epoch{epoch:03d}.npz"))
+            _save_teacher(init_model, epoch, config)
     return init_model.copy(), StageTrace("self_train", [f1] * (epochs + 1),
-                                         refreshes, 0)
+                                         refreshes, stopped_early=stopped)
 
 
-def _self_train_loop(init_model: tagger.TaggerModel,
-                     partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
-                     config: SelfTrainConfig) -> tuple[tagger.TaggerModel, StageTrace]:
-    """The SGD loop of `self_train`.
+def _distill(init_model: tagger.TaggerModel,
+             partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
+             config: SelfTrainConfig) -> tuple[tagger.TaggerModel, StageTrace]:
+    """`self_train` through `tagger.fit`, with a frozen teacher's rows as targets.
 
-    Teacher targets are recomputed lazily per batch (identical to
-    materializing them per refresh window, since the teacher is frozen in
-    between).
+    Teacher rows are scored per batch (identical to materializing them per
+    refresh window, since the teacher is frozen in between).
     """
     cfg = config.tagger
     teacher = init_model.copy()
-    student = init_model.copy()
-    token_seqs = [p.tokens for p in partial]
-    enc = tagger.encode_tokens(token_seqs, cfg)
-    lengths = enc.lengths
-    n = len(token_seqs)
-    total_tokens = int(enc.offsets[-1])
-    sent_tok = [np.arange(a, b) for a, b in zip(enc.offsets[:-1], enc.offsets[1:])]
-    c = init_model.scheme.tag_count
+    enc = tagger.encode_tokens([p.tokens for p in partial], cfg)
+    labels = np.asarray([l for p in partial for l in p.labels], dtype=np.intp)
+    # a partial sentence's labels are non-O exactly on its known spans
+    known = labels != 0
 
-    covered = np.zeros(total_tokens, dtype=bool)
-    override = np.zeros((0, c))
-    if config.guidance:
-        over_rows = []
-        for p, base in zip(partial, enc.offsets[:-1]):
-            cov = p.known.covered_indices(len(p))
-            if cov.size:
-                covered[cov + base] = True
-                over_rows.append(one_hot_rows([p.labels[k] for k in cov], c))
-        override = np.zeros((total_tokens, c))
-        if over_rows:
-            override[covered] = np.concatenate(over_rows, axis=0)
+    def targets(tok: np.ndarray) -> np.ndarray:
+        rows = tagger.forward_flat(teacher, enc.ids[tok], enc.flags[tok])[2]
+        if config.hard_targets:
+            rows = one_hot_rows(np.argmax(rows, axis=1), rows.shape[1])
+        if config.guidance:
+            pinned = np.flatnonzero(known[tok])
+            rows = pin_rows(rows, pinned, labels[tok[pinned]])
+        return rows
 
-    val_enc, val_gold = tagger.validation_set(val, cfg)
+    def refresh(epoch: int, student: tagger.TaggerModel) -> bool:
+        if epoch % config.teacher_refresh_period:
+            return False
+        teacher.load_from(student)
+        if config.checkpoint_dir:
+            _save_teacher(teacher, epoch, config)
+        return True
 
-    trace = StageTrace("self_train", [])
-    f1 = tagger.validation_f1(student, val_enc, val_gold)
-    trace.val_f1.append(f1)
-    best_f1, best_model, best_iter = f1, student.copy(), 0
-    since_best = 0
-    rng = seeded_rng(cfg.seed, STREAM_SELFTRAIN)
-    for epoch in range(1, config.self_train_epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            chunk = order[start:start + cfg.batch_size]
-            tok = np.concatenate([sent_tok[s] for s in chunk])
-            targets = tagger.forward_flat(teacher, enc.ids[tok], enc.flags[tok])[2]
-            if config.hard_targets:
-                targets = one_hot_rows(np.argmax(targets, axis=1), c)
-            if config.guidance:
-                mask = covered[tok]
-                if mask.any():
-                    targets[mask] = override[tok[mask]]
-            w = np.repeat(1.0 / (chunk.size * lengths[chunk]), lengths[chunk])
-            _, grads = tagger.flat_loss_and_grads(
-                student, enc.ids[tok], enc.flags[tok], targets, w)
-            tagger.sgd_step(student, grads, cfg.learning_rate)
-        f1 = tagger.validation_f1(student, val_enc, val_gold)
-        trace.val_f1.append(f1)
-        if f1 > best_f1:
-            best_f1, best_iter = f1, epoch
-            best_model.load_from(student)
-            since_best = 0
-        else:
-            since_best += 1
-        if epoch % config.teacher_refresh_period == 0:
-            teacher.load_from(student)
-            trace.refresh_epochs.append(epoch)
-            if config.checkpoint_dir:
-                tagger.save_checkpoint(teacher, os.path.join(
-                    config.checkpoint_dir, f"teacher_epoch{epoch:03d}.npz"))
-        if (config.self_train_patience is not None
-                and since_best >= config.self_train_patience):
-            break
-    trace.best_iteration = best_iter
-    return best_model, trace
+    return tagger.fit(init_model.copy(), enc, targets, val, cfg, "self_train",
+                      STREAM_SELFTRAIN, config.self_train_epochs,
+                      config.self_train_patience, refresh)
+
+
+def _save_teacher(teacher: tagger.TaggerModel, epoch: int, config: SelfTrainConfig) -> None:
+    tagger.save_checkpoint(teacher, os.path.join(
+        config.checkpoint_dir, f"teacher_epoch{epoch:03d}.npz"))
 
 
 @dataclass
@@ -205,11 +147,10 @@ def run_method(method: str, partial: Sequence[PartiallyAnnotatedSentence],
     """
     if method == "supervised":
         model, trace = ner_fit(partial, val, config)
-        return RunOutput(model, trace.val_f1[trace.best_iteration], [trace])
+        return RunOutput(model, trace.best_f1, [trace])
     if method in ("bond", "guided_bond"):
         cfg = replace(config, guidance=(method == "guided_bond"))
         init_model, fit_trace = ner_fit(partial, val, cfg)
         model, st_trace = self_train(init_model, partial, val, cfg)
-        return RunOutput(model, st_trace.val_f1[st_trace.best_iteration],
-                         [fit_trace, st_trace])
+        return RunOutput(model, st_trace.best_f1, [fit_trace, st_trace])
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

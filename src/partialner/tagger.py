@@ -14,9 +14,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class TaggerConfig:
     max_epochs: int = 50
     patience: int = 5               # epochs without val-F1 improvement before stopping
     seed: int = 0
-    halve_on_plateau: bool = False  # halve the rate each epoch the val F1 stalls
 
     def __post_init__(self):
         if min(self.embed_dim, self.hidden_dim, self.hash_buckets,
@@ -188,13 +187,6 @@ def forward_flat(model: TaggerModel, ids: np.ndarray, flags: np.ndarray,
     return x, h, probs
 
 
-def forward(model: TaggerModel, sentence) -> np.ndarray:
-    """Per-token label distributions (L, C) for one sentence."""
-    tokens = sentence.tokens if isinstance(sentence, Sentence) else tuple(sentence)
-    enc = encode_tokens([tokens], model.config)
-    return forward_flat(model, enc.ids, enc.flags)[2]
-
-
 def soft_cross_entropy(predicted: np.ndarray, target: np.ndarray) -> float:
     """Mean over tokens of -sum_j t_j log max(q_j, floor).
 
@@ -258,6 +250,12 @@ def flat_loss_and_grads(model: TaggerModel, ids: np.ndarray, flags: np.ndarray,
     return loss, Gradients(gw1, gb1, gw2, gb2, uniq, rows.reshape(uniq.size, d))
 
 
+def sentence_weights(lengths: np.ndarray) -> np.ndarray:
+    """Per-token weights under which a weighted token loss is the batch loss:
+    the mean over sentences of the mean-over-tokens cross entropy."""
+    return np.repeat(1.0 / (lengths.size * lengths), lengths)
+
+
 def _batch_arrays(model: TaggerModel, sentences, targets,
                   ) -> tuple[EncodedTokens, np.ndarray, np.ndarray]:
     if not len(sentences):
@@ -270,21 +268,7 @@ def _batch_arrays(model: TaggerModel, sentences, targets,
             raise ValueError(f"{t.shape[0]} target rows for {len(seq)} tokens")
         rows.append(t)
     enc = encode_tokens(token_seqs, model.config)
-    lengths = enc.lengths
-    weights = np.repeat(1.0 / (len(token_seqs) * lengths), lengths)
-    return enc, np.concatenate(rows, axis=0), weights
-
-
-def batch_loss(model: TaggerModel, sentences, targets) -> float:
-    """Mean over sentences of the per-sentence soft cross entropy."""
-    enc, t, w = _batch_arrays(model, sentences, targets)
-    return flat_loss(model, enc.ids, enc.flags, t, w)
-
-
-def grad(model: TaggerModel, sentences, targets) -> Gradients:
-    """Analytic gradients of batch_loss w.r.t. every parameter."""
-    enc, t, w = _batch_arrays(model, sentences, targets)
-    return flat_loss_and_grads(model, enc.ids, enc.flags, t, w)[1]
+    return enc, np.concatenate(rows, axis=0), sentence_weights(enc.lengths)
 
 
 def sgd_step(model: TaggerModel, grads: Gradients, lr: float) -> None:
@@ -355,39 +339,52 @@ class SoftDataset:
 
 
 @dataclass
-class TrainReport:
-    """Per-epoch training curve and the selected checkpoint's position."""
+class StageTrace:
+    """Per-iteration record of one training stage; iteration 0 is the
+    starting model and iteration i the model after epoch i."""
 
-    losses: list[float]  # mean per-sentence loss per epoch
-    val_f1: list[float]  # validation span micro-F1 per epoch
-    best_epoch: int      # 0-based index into the lists; -1: initial parameters
-    stopped_early: bool
-    baseline_f1: float = 0.0  # validation F1 of the parameters training started from
+    stage: str                  # "ner_fit" or "self_train"
+    val_f1: list[float]         # validation span micro-F1 per iteration
+    refresh_epochs: list[int] = field(default_factory=list)  # teacher refreshes
+    best_iteration: int = 0     # the iteration whose parameters the stage returns
+    losses: list[float] = field(default_factory=list)  # per epoch; empty if closed form
+    stopped_early: bool = False  # patience ran out before the epoch limit
 
     @property
     def best_f1(self) -> float:
-        return self.baseline_f1 if self.best_epoch < 0 else self.val_f1[self.best_epoch]
+        return self.val_f1[self.best_iteration]
+
+    @property
+    def best_epoch(self) -> int:
+        """The selected epoch counted from 0; -1 is the starting model."""
+        return self.best_iteration - 1
 
     def write_csv(self, path: str) -> None:
+        refreshes = set(self.refresh_epochs)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,loss,val_f1\n")
-            for e, (loss, f1) in enumerate(zip(self.losses, self.val_f1)):
-                fh.write(f"{e},{loss!r},{f1!r}\n")
+            fh.write("stage,iteration,val_f1,teacher_refresh\n")
+            for i, f1 in enumerate(self.val_f1):
+                fh.write(f"{self.stage},{i},{f1!r},{int(i in refreshes)}\n")
 
 
-def _training_targets(data, scheme: LabelScheme,
-                      ) -> tuple[list[tuple[str, ...]], list[np.ndarray]]:
+def _fixed_targets(data, scheme: LabelScheme, config: TaggerConfig,
+                   ) -> tuple[EncodedTokens, Callable[[np.ndarray], np.ndarray]]:
+    """Encoded training sentences and a lookup into their fixed target rows."""
     if isinstance(data, SoftDataset):
         if data.scheme.categories != scheme.categories:
             raise ValueError("soft dataset scheme differs from model scheme")
-        return [s.tokens for s in data.sentences], list(data.dists)
-    if isinstance(data, Corpus):
+        token_seqs, target_list = [s.tokens for s in data.sentences], list(data.dists)
+    elif isinstance(data, Corpus):
         if not data.fully_labelled:
             raise ValueError("training corpus needs hard labels")
-        return ([s.tokens for s in data.sentences],
-                [one_hot_rows(s.labels, scheme.tag_count) for s in data.sentences])
-    raise TypeError(f"cannot train on {type(data).__name__}; "
-                    "expected Corpus or SoftDataset")
+        token_seqs = [s.tokens for s in data.sentences]
+        target_list = [one_hot_rows(s.labels, scheme.tag_count) for s in data.sentences]
+    else:
+        raise TypeError(f"cannot train on {type(data).__name__}; "
+                        "expected Corpus or SoftDataset")
+    enc = encode_tokens(token_seqs, config)
+    rows = np.concatenate(target_list) if target_list else None  # fit rejects empty data
+    return enc, lambda tok: rows[tok]
 
 
 def validation_set(val: Corpus, config: TaggerConfig,
@@ -410,63 +407,74 @@ def validation_f1(model: TaggerModel, val_enc: EncodedTokens,
     return evaluation.key_f1(pred, val_gold)
 
 
-def train(model: TaggerModel, data, val: Corpus,
-          config: TaggerConfig | None = None) -> tuple[TaggerModel, TrainReport]:
-    """Mini-batch SGD with validation-F1 early stopping and best-epoch restore.
+def fit(model: TaggerModel, enc: EncodedTokens,
+        targets: Callable[[np.ndarray], np.ndarray], val: Corpus,
+        config: TaggerConfig, stage: str, stream: int, epochs: int,
+        patience: int | None = None,
+        after_epoch: Callable[[int, TaggerModel], bool] | None = None,
+        ) -> tuple[TaggerModel, StageTrace]:
+    """The mini-batch SGD loop of every training stage.
 
-    `data` is a hard-labelled Corpus or a SoftDataset.  After each epoch the
-    span micro-F1 on `val` is measured; training stops once it has failed to
-    improve for `patience` consecutive epochs.  Selection runs over the whole
-    stage including the starting parameters (epoch index -1), so a stage in
-    which no epoch beats the initial checkpoint restores that checkpoint; the
-    best parameters are restored into `model` (also returned).  Deterministic
-    given config.seed.
+    Each epoch shuffles the sentences of `enc` with the `stream` RNG of
+    config.seed, takes one SGD step per batch towards `targets(tok)`, the
+    (len(tok), C) target rows of the flat token indices `tok`, and then
+    measures validation span micro-F1.  After each epoch, in this order:
+    the best iteration so far is selected (the starting model is iteration 0
+    and a tie keeps the earlier one), `after_epoch(epoch, model)` runs and
+    its truthy return is recorded as a teacher refresh, and the stage stops
+    once `patience` epochs in a row have not improved.  The selected
+    parameters are restored into `model`, which is also returned.
     """
-    config = config or model.config
-    token_seqs, target_list = _training_targets(data, model.scheme)
-    if not token_seqs:
+    n = len(enc)
+    if not n:
         raise ValueError("empty training data")
-    enc = encode_tokens(token_seqs, config)
-    targets = np.concatenate(target_list, axis=0)
     lengths = enc.lengths
-    n = len(token_seqs)
     sent_tok = [np.arange(a, b) for a, b in zip(enc.offsets[:-1], enc.offsets[1:])]
     val_enc, val_gold = validation_set(val, config)
-
-    rng = seeded_rng(config.seed, STREAM_TRAIN)
-    lr = config.learning_rate
-    baseline_f1 = validation_f1(model, val_enc, val_gold)
-    best_f1, best_model, best_epoch = baseline_f1, model.copy(), -1
-    losses: list[float] = []
-    f1s: list[float] = []
-    since_best = 0
-    stopped = False
-    for epoch in range(config.max_epochs):
+    rng = seeded_rng(config.seed, stream)
+    trace = StageTrace(stage, [validation_f1(model, val_enc, val_gold)])
+    best_model, since_best = model.copy(), 0
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, config.batch_size):
             chunk = order[start:start + config.batch_size]
             tok = np.concatenate([sent_tok[s] for s in chunk])
-            w = np.repeat(1.0 / (chunk.size * lengths[chunk]), lengths[chunk])
-            loss, grads = flat_loss_and_grads(
-                model, enc.ids[tok], enc.flags[tok], targets[tok], w)
-            sgd_step(model, grads, lr)
+            w = sentence_weights(lengths[chunk])
+            loss, grads = flat_loss_and_grads(model, enc.ids[tok], enc.flags[tok],
+                                              targets(tok), w)
+            sgd_step(model, grads, config.learning_rate)
             total += loss * chunk.size
-        losses.append(total / n)
-        f1 = validation_f1(model, val_enc, val_gold)
-        f1s.append(f1)
-        if f1 > best_f1:
-            best_f1, best_epoch, since_best = f1, epoch, 0
+        trace.losses.append(total / n)
+        trace.val_f1.append(validation_f1(model, val_enc, val_gold))
+        if trace.val_f1[-1] > trace.best_f1:
+            trace.best_iteration, since_best = epoch, 0
             best_model.load_from(model)
         else:
             since_best += 1
-            if config.halve_on_plateau:
-                lr *= 0.5
-            if since_best >= config.patience:
-                stopped = True
-                break
+        if after_epoch is not None and after_epoch(epoch, model):
+            trace.refresh_epochs.append(epoch)
+        if patience is not None and since_best >= patience:
+            trace.stopped_early = True
+            break
     model.load_from(best_model)
-    return model, TrainReport(losses, f1s, best_epoch, stopped, baseline_f1)
+    return model, trace
+
+
+def train(model: TaggerModel, data, val: Corpus,
+          config: TaggerConfig | None = None) -> tuple[TaggerModel, StageTrace]:
+    """Early-stopped `fit` on fixed targets: the "ner_fit" stage.
+
+    `data` is a hard-labelled Corpus (one-hot targets) or a SoftDataset.
+    Runs at most config.max_epochs epochs on the training stream and stops
+    after config.patience epochs without a validation-F1 improvement.
+    Deterministic given config.seed.
+    """
+    config = config or model.config
+    # handed straight to fit, so the training arrays are freed with fit's
+    # arguments, before its best-model copy: that order keeps peak RSS down
+    return fit(model, *_fixed_targets(data, model.scheme, config), val, config,
+               "ner_fit", STREAM_TRAIN, config.max_epochs, config.patience)
 
 
 def save_checkpoint(model: TaggerModel, path: str) -> None:
@@ -484,7 +492,9 @@ def load_checkpoint(path: str) -> TaggerModel:
     with np.load(path, allow_pickle=False) as z:
         if "magic" not in z.files or str(z["magic"]) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
-        config = TaggerConfig(**json.loads(str(z["config"])))
+        echo = json.loads(str(z["config"]))
+        echo.pop("halve_on_plateau", None)  # retired training-only field
+        config = TaggerConfig(**echo)
         scheme = LabelScheme(tuple(str(c) for c in z["categories"]))
         return TaggerModel(config, scheme, z["embed"].copy(),
                            z["w1"].copy(), z["b1"].copy(),

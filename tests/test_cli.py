@@ -10,6 +10,7 @@ from partialner import cli
 from partialner.bde import LineageRecord
 from partialner.corpus import infer_scheme, parse_conll
 from partialner.experiment import RESULT_COLUMNS, parse_summary
+from partialner.tagger import load_checkpoint
 
 FAST_TAGGER = {"embed_dim": 8, "window": 1, "hidden_dim": 12, "hash_buckets": 1024,
                "learning_rate": 0.3, "max_epochs": 4, "patience": 4}
@@ -63,6 +64,22 @@ class TestExitCodes:
                        "--out", str(tmp_path / "c.conll")])
         assert rc == 2
         assert "unknown synth config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,config,message", [
+        ("supervised", {"self_train_epoch": 999}, "unknown experiment config keys"),
+        ("bde:supervised+supervised", {"bde_k": 1}, "bde_k must be >= 2"),
+    ], ids=["misspelled-key", "bde-k-1"])
+    def test_bad_train_config_is_usage_error(self, workdir, tmp_path, capsys,
+                                             method, config, message):
+        bad = tmp_path / "train.json"
+        bad.write_text(json.dumps(config))
+        rc = cli.main(["train", "--method", method,
+                       "--train", str(workdir / "masked.conll"),
+                       "--dev", str(workdir / "dev.conll"),
+                       "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_parse_error_is_usage_error(self, tmp_path, capsys):
         mangled = tmp_path / "mangled.conll"
@@ -130,6 +147,16 @@ class TestTrainAndEval:
         trace = (trained / "trace_ner_fit.csv").read_text().splitlines()
         assert trace[0] == "stage,iteration,val_f1,teacher_refresh"
         assert len(trace) >= 2
+
+    def test_seed_flag_sets_the_model_seed(self, workdir, tmp_path, capsys):
+        rc = cli.main(["train", "--method", "supervised",
+                       "--train", str(workdir / "masked.conll"),
+                       "--dev", str(workdir / "dev.conll"),
+                       "--config", str(workdir / "train_config.json"),
+                       "--seed", "7", "--out", str(tmp_path)])
+        assert rc == 0
+        capsys.readouterr()
+        assert load_checkpoint(str(tmp_path / "checkpoint.npz")).config.seed == 7
 
     def test_bde_train_writes_audit_files(self, workdir):
         out = workdir / "run_bde"

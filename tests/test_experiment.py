@@ -93,6 +93,9 @@ class TestExperimentConfig:
         dict(bde_k=1),
         dict(workers=0),
         dict(workers=-2),
+        dict(fractions=(0.1, 0.1)),
+        dict(seeds=(0, 0)),
+        dict(seeds=(0, 0), fractions=(0.1, 0.1)),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ConfigError):
@@ -115,6 +118,14 @@ class TestExperimentConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown experiment config keys"):
             ExperimentConfig.from_dict({"fracs": [0.1]})
+
+    @pytest.mark.parametrize("data,message", [
+        ({"synth": {"n_sentence": 50}}, "unknown synth config keys"),
+        ({"tagger": {"embed_dims": 8}}, "bad experiment config"),
+    ])
+    def test_from_dict_rejects_unknown_nested_keys(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(data)
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "config.json"

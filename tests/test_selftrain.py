@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from partialner import selftrain
+import hashlib
+
+from partialner import selftrain, tagger
 from partialner.annotation import mask_entities, partial_from_labels
 from partialner.corpus import SynthConfig, generate_synthetic
 from partialner.evaluation import evaluate_model
@@ -144,8 +146,9 @@ class TestSelfTrain:
 
 
 class TestClosedFormStage:
-    """`self_train` without guidance or hard targets skips SGD; the loop is
-    the reference it must reproduce bit for bit."""
+    """`self_train` without guidance or hard targets skips SGD; the merged
+    SGD loop `tagger.fit`, driven by `selftrain._distill`, is the reference
+    it must reproduce bit for bit."""
 
     @pytest.fixture(scope="class")
     def inits(self, splits, masked):
@@ -159,15 +162,16 @@ class TestClosedFormStage:
     @pytest.mark.parametrize("overrides", [
         {},
         {"self_train_patience": 3},
+        {"self_train_patience": 6},  # runs out on the last epoch
         {"teacher_refresh_period": 4},
         {"checkpoint_dir": True},
-    ], ids=["defaults", "patience3", "refresh4", "checkpoints"])
+    ], ids=["defaults", "patience3", "patience6", "refresh4", "checkpoints"])
     def test_matches_the_sgd_loop(self, splits, masked, inits, tmp_path,
                                   which, overrides):
         _, val = splits
         init = inits[which]
         runs = {}
-        for name, fn in (("closed", self_train), ("loop", selftrain._self_train_loop)):
+        for name, fn in (("closed", self_train), ("loop", selftrain._distill)):
             extra = dict(overrides)
             if extra.pop("checkpoint_dir", False):
                 extra["checkpoint_dir"] = str(tmp_path / name)
@@ -180,6 +184,9 @@ class TestClosedFormStage:
         assert [f.hex() for f in closed_trace.val_f1] == [f.hex() for f in loop_trace.val_f1]
         assert closed_trace.refresh_epochs == loop_trace.refresh_epochs
         assert closed_trace.best_iteration == loop_trace.best_iteration == 0
+        assert closed_trace.stopped_early == loop_trace.stopped_early
+        assert closed_trace.losses == []  # not computed without the loop
+        assert len(loop_trace.losses) == len(loop_trace.val_f1) - 1
         if "checkpoint_dir" in overrides:
             names = sorted(p.name for p in (tmp_path / "loop").iterdir())
             assert names
@@ -200,14 +207,94 @@ class TestClosedFormStage:
                                               monkeypatch, overrides, takes_loop):
         _, val = splits
         calls = []
-        loop = selftrain._self_train_loop
+        loop = tagger.fit
 
         def spy(*args):
             calls.append(args)
             return loop(*args)
-        monkeypatch.setattr(selftrain, "_self_train_loop", spy)
+        monkeypatch.setattr(tagger, "fit", spy)
         self_train(inits["fitted"], masked, val, fast_config(**overrides))
         assert len(calls) == int(takes_loop)
+
+
+def params_digest(model):
+    h = hashlib.sha256()
+    for name, arr in model.params().items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+# stage -> trace fields as float hex and a SHA-256 of the returned parameters
+PINNED_TRACES = {
+    "ner_fit": {
+        "val_f1": [
+            "0x1.8e6527af1373ep-4", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        ],
+        "losses": [
+            "0x1.8440ed72bc554p+0", "0x1.a85078c2d7591p-1", "0x1.608b895818453p-1",
+            "0x1.4f962f0527ae0p-1", "0x1.457f3c7f24520p-1", "0x1.3c40bd61bec23p-1",
+            "0x1.34594182e0cedp-1", "0x1.2d485d2d5d00dp-1",
+        ],
+        "best_iteration": 0,
+        "stopped_early": True,
+        "params": "6d68974475d5fb014f17cb4c53cc3b2ba90ef0deff6e2a55f1e820f5ae69af1a",
+    },
+    "ner_fit_full_labels": {
+        "val_f1": [
+            "0x1.8e6527af1373ep-4", "0x1.1a7b9611a7b96p-6", "0x0.0p+0",
+            "0x1.0410410410410p-5", "0x1.cfb2b78c13522p-4", "0x1.0e10e10e10e11p-3",
+            "0x1.890cede62433cp-3", "0x1.0fac687d6343fp-2", "0x1.38bfaf4a6768bp-2",
+        ],
+        "losses": [
+            "0x1.c470b462b115ap+0", "0x1.6ef7ba2e5e231p+0", "0x1.4214b5d0febcbp+0",
+            "0x1.225efb770f2b3p+0", "0x1.081fa38a54c89p+0", "0x1.e2b1135da656ap-1",
+            "0x1.bdf3642f5aa02p-1", "0x1.9fb2c5d66ff8cp-1",
+        ],
+        "best_iteration": 8,
+        "stopped_early": False,
+        "params": "ae0d7f95171716a8d53a96d5d2e297c097f22964efcf2c8ed782ff4ba2cacd5e",
+    },
+    "guided_self_train": {
+        "val_f1": [
+            "0x1.8e6527af1373ep-4", "0x1.7d05f417d05f5p-4", "0x1.af286bca1af28p-4",
+            "0x1.f7047dc11f704p-4", "0x1.2a8ad278e8dcfp-3",
+        ],
+        "losses": [
+            "0x1.efa49f66eb2bep+0", "0x1.edb78c4a49c60p+0", "0x1.eb3f8aa3a5702p+0",
+            "0x1.e98cc8f6a4fe3p+0",
+        ],
+        "best_iteration": 4,
+        "refresh_epochs": [2, 4],
+        "params": "d5f8caccc4d4dce6e7f278a1f312bdb6eca5ed5dc85009c5b17b26371ece419e",
+    },
+}
+
+
+class TestPinnedTraces:
+    """Traces recorded before the two SGD loops were merged into `tagger.fit`."""
+
+    def check(self, name, model, trace):
+        want = PINNED_TRACES[name]
+        assert [f.hex() for f in trace.val_f1] == want["val_f1"]
+        assert [f.hex() for f in trace.losses] == want["losses"]
+        assert trace.best_iteration == want["best_iteration"]
+        assert trace.stopped_early == want.get("stopped_early", False)
+        assert trace.refresh_epochs == want.get("refresh_epochs", [])
+        assert params_digest(model) == want["params"]
+
+    def test_ner_fit_and_guided_self_train(self, splits, masked):
+        _, val = splits
+        fitted, fit_trace = ner_fit(masked, val, fast_config())
+        self.check("ner_fit", fitted, fit_trace)
+        cfg = fast_config(guidance=True, self_train_epochs=4, teacher_refresh_period=2)
+        self.check("guided_self_train", *self_train(fitted, masked, val, cfg))
+
+    def test_ner_fit_that_improves_on_its_start(self, splits):
+        trn, val = splits
+        self.check("ner_fit_full_labels",
+                   *ner_fit(partial_from_labels(trn), val, fast_config()))
 
 
 class TestRunMethod:

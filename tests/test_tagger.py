@@ -1,5 +1,7 @@
 """Tests for the windowed feedforward tagger: encoding, gradients, training."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,17 +14,15 @@ from partialner.tagger import (
     EncodedTokens,
     SoftDataset,
     TaggerConfig,
+    StageTrace,
     TaggerModel,
-    TrainReport,
-    batch_loss,
     encode_tokens,
     finite_difference_check,
     flat_loss_and_grads,
-    forward,
     forward_flat,
-    grad,
     load_checkpoint,
     save_checkpoint,
+    sentence_weights,
     sgd_step,
     soft_cross_entropy,
     train,
@@ -35,6 +35,18 @@ def small_config(**overrides) -> TaggerConfig:
     base = dict(embed_dim=6, window=1, hidden_dim=8, hash_buckets=256, seed=3)
     base.update(overrides)
     return TaggerConfig(**base)
+
+
+def distributions(model, sentence):
+    """(L, C) label distributions of one sentence."""
+    return model.sequence_distributions([sentence.tokens])[0]
+
+
+def batch_loss_and_grads(model, sentences, targets):
+    """Loss and gradients of the mean per-sentence cross entropy of a batch."""
+    enc = encode_tokens([s.tokens for s in sentences], model.config)
+    return flat_loss_and_grads(model, enc.ids, enc.flags, np.concatenate(targets),
+                               sentence_weights(enc.lengths))
 
 
 class TestConfig:
@@ -152,7 +164,7 @@ class TestModel:
     def test_forward_rows_are_distributions(self, scheme, make_sentence):
         model = TaggerModel.init(small_config(), scheme)
         sent = make_sentence("Anna met Bob in Paris")
-        probs = forward(model, sent)
+        probs = distributions(model, sent)
         assert probs.shape == (5, scheme.tag_count)
         assert (probs > 0).all()
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -163,8 +175,8 @@ class TestModel:
         dists = model.sequence_distributions([s.tokens for s in sents])
         assert [d.shape[0] for d in dists] == [3, 1]
         # batched matmuls may round differently, so allow last-ulp slack
-        np.testing.assert_allclose(dists[0], forward(model, sents[0]), rtol=1e-12)
-        np.testing.assert_allclose(dists[1], forward(model, sents[1]), rtol=1e-12)
+        np.testing.assert_allclose(dists[0], distributions(model, sents[0]), rtol=1e-12)
+        np.testing.assert_allclose(dists[1], distributions(model, sents[1]), rtol=1e-12)
 
 
 class TestLoss:
@@ -210,8 +222,8 @@ class TestGradients:
         # targets equal to the model's own outputs leave every parameter still
         model = TaggerModel.init(small_config(), scheme)
         sents = [make_sentence("Anna met Bob"), make_sentence("Paris is quiet")]
-        targets = [forward(model, s) for s in sents]
-        g = grad(model, sents, targets)
+        targets = [distributions(model, s) for s in sents]
+        g = batch_loss_and_grads(model, sents, targets)[1]
         for arr in (g.w1, g.b1, g.w2, g.b2, g.embed_rows):
             assert np.abs(arr).max() == 0.0
 
@@ -219,7 +231,7 @@ class TestGradients:
         model = TaggerModel.init(small_config(), scheme)
         sents = [make_sentence("Anna met Bob", PER=[(0, 1), (2, 3)])]
         targets = one_hot_targets(sents, scheme)
-        g = grad(model, sents, targets)
+        g = batch_loss_and_grads(model, sents, targets)[1]
         before = {k: v.copy() for k, v in model.params().items()}
         sgd_step(model, g, 0.1)
         np.testing.assert_array_equal(model.w1, before["w1"] - 0.1 * g.w1)
@@ -230,7 +242,7 @@ class TestGradients:
     def test_sgd_step_touches_only_seen_buckets(self, scheme, make_sentence):
         model = TaggerModel.init(small_config(), scheme)
         sents = [make_sentence("Anna")]
-        g = grad(model, sents, one_hot_targets(sents, scheme))
+        g = batch_loss_and_grads(model, sents, one_hot_targets(sents, scheme))[1]
         before = model.embed.copy()
         sgd_step(model, g, 0.5)
         changed = np.flatnonzero(np.abs(model.embed - before).sum(axis=1))
@@ -242,10 +254,10 @@ class TestGradients:
         long = make_sentence("Anna met Bob in Paris today", PER=[(0, 1), (2, 3)], LOC=[(4, 5)])
         targets = one_hot_targets([short, long], scheme)
         per_sentence = [
-            soft_cross_entropy(forward(model, s), t)
+            soft_cross_entropy(distributions(model, s), t)
             for s, t in zip([short, long], targets)
         ]
-        got = batch_loss(model, [short, long], targets)
+        got = batch_loss_and_grads(model, [short, long], targets)[0]
         assert got == pytest.approx(np.mean(per_sentence), rel=1e-12)
 
 
@@ -343,19 +355,25 @@ class TestTrain:
         cfg = TaggerConfig(embed_dim=16, window=1, hidden_dim=24,
                            hash_buckets=4096, learning_rate=0.3,
                            max_epochs=30, patience=30, seed=0)
-        model, report = train(TaggerModel.init(cfg, scheme), trn, val, cfg)
-        assert report.best_f1 > report.baseline_f1 + 0.3
-        assert evaluate_model(model, val).f1 == pytest.approx(report.best_f1)
+        model, trace = train(TaggerModel.init(cfg, scheme), trn, val, cfg)
+        assert trace.val_f1[trace.best_iteration] > trace.val_f1[0] + 0.3
+        assert evaluate_model(model, val).f1 == pytest.approx(trace.best_f1)
 
     def test_report_invariants(self, scheme, learnable):
         trn, val = learnable
         cfg = TaggerConfig(embed_dim=8, window=1, hidden_dim=12,
                            hash_buckets=1024, max_epochs=6, patience=2, seed=1)
-        _, report = train(TaggerModel.init(cfg, scheme), trn, val, cfg)
-        assert len(report.losses) == len(report.val_f1)
-        assert 0 < len(report.losses) <= cfg.max_epochs
-        assert -1 <= report.best_epoch < len(report.val_f1)
-        assert report.best_f1 >= max(report.val_f1 + [report.baseline_f1]) - 1e-12
+        _, trace = train(TaggerModel.init(cfg, scheme), trn, val, cfg)
+        assert trace.stage == "ner_fit"
+        assert len(trace.val_f1) == len(trace.losses) + 1  # iteration 0: the start
+        assert 0 < len(trace.losses) <= cfg.max_epochs
+        assert 0 <= trace.best_iteration < len(trace.val_f1)
+        assert trace.best_epoch == trace.best_iteration - 1
+        assert trace.best_f1 == max(trace.val_f1)
+        assert trace.refresh_epochs == []
+        # patience counts the epochs since the selected one
+        assert trace.stopped_early == (len(trace.losses) - trace.best_iteration
+                                       >= cfg.patience)
 
     def test_deterministic(self, scheme, learnable):
         trn, val = learnable
@@ -369,18 +387,19 @@ class TestTrain:
     def test_patience_stops_unlearnable_run(self, scheme):
         trn, val = unlearnable_splits(scheme)
         cfg = small_config(max_epochs=50, patience=1)
-        _, report = train(TaggerModel.init(cfg, scheme), trn, val, cfg)
-        assert report.stopped_early
-        assert len(report.losses) <= 2
+        _, trace = train(TaggerModel.init(cfg, scheme), trn, val, cfg)
+        assert trace.stopped_early
+        assert len(trace.losses) <= 2
 
     def test_no_improvement_restores_initial_parameters(self, scheme):
         trn, val = unlearnable_splits(scheme)
         cfg = small_config(max_epochs=4, patience=2)
         init = TaggerModel.init(cfg, scheme)
         frozen = init.copy()
-        model, report = train(init, trn, val, cfg)
-        assert report.best_epoch == -1
-        assert report.best_f1 == report.baseline_f1
+        model, trace = train(init, trn, val, cfg)
+        assert trace.best_iteration == 0
+        assert trace.best_epoch == -1
+        assert trace.best_f1 == trace.val_f1[0]
         for name, arr in model.params().items():
             np.testing.assert_array_equal(arr, frozen.params()[name])
 
@@ -452,13 +471,17 @@ class TestSoftDataset:
 
 class TestReportCsv:
     def test_write_csv_roundtrips_floats(self, tmp_path):
-        report = TrainReport([0.5, 0.25], [0.1, 0.2], 1, False, baseline_f1=0.05)
+        f1s = [0.05, 0.1, 1 / 3]
+        trace = StageTrace("ner_fit", f1s, best_iteration=2, losses=[0.5, 0.25])
         path = tmp_path / "curve.csv"
-        report.write_csv(str(path))
+        trace.write_csv(str(path))
         lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,loss,val_f1"
-        assert lines[1] == "0,0.5,0.1"
-        assert len(lines) == 3
+        assert lines[0] == "stage,iteration,val_f1,teacher_refresh"
+        assert lines[1] == "ner_fit,0,0.05,0"
+        assert len(lines) == 4
+        assert [float(line.split(",")[2]) for line in lines[1:]] == f1s
+        assert trace.best_f1 == 1 / 3
+        assert trace.best_epoch == 1
 
 
 class TestCheckpoint:
@@ -472,7 +495,24 @@ class TestCheckpoint:
         for name, arr in model.params().items():
             np.testing.assert_array_equal(arr, loaded.params()[name])
         sent = make_sentence("Anna met Bob in Paris")
-        np.testing.assert_array_equal(forward(model, sent), forward(loaded, sent))
+        np.testing.assert_array_equal(distributions(model, sent), distributions(loaded, sent))
+
+    def test_loads_a_config_echo_with_the_retired_plateau_field(self, scheme, tmp_path):
+        # checkpoints written before the field was removed still carry it
+        model = TaggerModel.init(small_config(seed=9), scheme)
+        path = str(tmp_path / "model.npz")
+        save_checkpoint(model, path)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        echo = json.loads(str(arrays["config"]))
+        echo["halve_on_plateau"] = False
+        arrays["config"] = np.array(json.dumps(echo, sort_keys=True))
+        old = str(tmp_path / "old.npz")
+        np.savez(old, **arrays)
+        loaded = load_checkpoint(old)
+        assert loaded.config == model.config
+        for name, arr in model.params().items():
+            np.testing.assert_array_equal(arr, loaded.params()[name])
 
     def test_rejects_foreign_npz(self, tmp_path):
         path = str(tmp_path / "junk.npz")
