@@ -112,6 +112,10 @@ class ExperimentConfig:
             raise ConfigError(f"bde_k must be >= 2, got {self.bde_k}")
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1 or unset, got {self.workers}")
+        try:  # the self-training values are checked where they are used
+            self.selftrain_config(self.tagger.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @staticmethod
     def from_dict(data: Mapping) -> "ExperimentConfig":
@@ -126,9 +130,12 @@ class ExperimentConfig:
         for key in ("fractions", "seeds", "methods"):
             if key in data:
                 data[key] = tuple(data[key])
-        try:
-            if data.get("tagger") is not None:
+        if data.get("tagger") is not None:
+            try:
                 data["tagger"] = tagger.TaggerConfig(**data["tagger"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad experiment config: tagger: {exc}") from None
+        try:
             return ExperimentConfig(**data)
         except TypeError as exc:
             raise ConfigError(f"bad experiment config: {exc}") from None

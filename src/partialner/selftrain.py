@@ -92,18 +92,21 @@ def _distill(init_model: tagger.TaggerModel,
              config: SelfTrainConfig) -> tuple[tagger.TaggerModel, StageTrace]:
     """`self_train` through `tagger.fit`, with a frozen teacher's rows as targets.
 
-    Teacher rows are scored per batch (identical to materializing them per
-    refresh window, since the teacher is frozen in between).
+    The teacher is a compact copy of the stage's working model.  Its rows
+    are scored per batch (identical to materializing them per refresh
+    window, since the teacher is frozen in between); its checkpoints are
+    written on the full table.
     """
     cfg = config.tagger
-    teacher = init_model.copy()
-    enc = tagger.encode_tokens([p.tokens for p in partial], cfg)
+    table = tagger.StageTable(
+        init_model.copy(), tagger.encode_tokens([p.tokens for p in partial], cfg), val, cfg)
+    teacher = table.work.copy()
     labels = np.asarray([l for p in partial for l in p.labels], dtype=np.intp)
     # a partial sentence's labels are non-O exactly on its known spans
     known = labels != 0
 
-    def targets(tok: np.ndarray) -> np.ndarray:
-        rows = tagger.forward_flat(teacher, enc.ids[tok], enc.flags[tok])[2]
+    def targets(tok: np.ndarray, ids: np.ndarray, flags: np.ndarray) -> np.ndarray:
+        rows = tagger.forward_flat(teacher, ids, flags)[2]
         if config.hard_targets:
             rows = one_hot_rows(np.argmax(rows, axis=1), rows.shape[1])
         if config.guidance:
@@ -116,12 +119,11 @@ def _distill(init_model: tagger.TaggerModel,
             return False
         teacher.load_from(student)
         if config.checkpoint_dir:
-            _save_teacher(teacher, epoch, config)
+            _save_teacher(table.write(teacher, table.model.copy()), epoch, config)
         return True
 
-    return tagger.fit(init_model.copy(), enc, targets, val, cfg, "self_train",
-                      STREAM_SELFTRAIN, config.self_train_epochs,
-                      config.self_train_patience, refresh)
+    return tagger.fit(table, targets, cfg, "self_train", STREAM_SELFTRAIN,
+                      config.self_train_epochs, config.self_train_patience, refresh)
 
 
 def _save_teacher(teacher: tagger.TaggerModel, epoch: int, config: SelfTrainConfig) -> None:

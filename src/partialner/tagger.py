@@ -91,23 +91,30 @@ class EncodedTokens:
 
 
 def encode_tokens(token_seqs: Sequence[Sequence[str]], config: TaggerConfig) -> EncodedTokens:
-    """Context-window bucket ids and flags for every token of every sentence."""
-    w = config.window
-    pad = [BOUNDARY_TOKEN] * w
-    ids_rows: list[list[int]] = []
-    flags_rows: list[list[tuple[float, float]]] = []
-    offsets = [0]
-    for tokens in token_seqs:
-        padded = [*pad, *tokens, *pad]
-        pids = [_bucket(t, config.hash_buckets) for t in padded]
-        pflags = [_token_flags(t) for t in padded]
-        for k in range(len(tokens)):
-            ids_rows.append(pids[k:k + config.slots])
-            flags_rows.append(pflags[k:k + config.slots])
-        offsets.append(offsets[-1] + len(tokens))
-    ids = np.asarray(ids_rows, dtype=np.int64).reshape(-1, config.slots)
-    flags = np.asarray(flags_rows, dtype=np.float64).reshape(-1, config.slots, 2)
-    return EncodedTokens(ids, flags, np.asarray(offsets, dtype=np.intp))
+    """Context-window bucket ids and flags for every token of every sentence.
+
+    Slot j of token p holds the token at p - window + j of the same
+    sentence, or BOUNDARY_TOKEN past either end.  Buckets and flags are
+    computed once per distinct token; the windows are index arithmetic over
+    the flat token positions.
+    """
+    lengths = np.fromiter(map(len, token_seqs), dtype=np.intp, count=len(token_seqs))
+    offsets = np.zeros(lengths.size + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    codes: dict[str, int] = {}
+    flat = [codes.setdefault(t, len(codes)) for seq in token_seqs for t in seq]
+    distinct = [*codes, BOUNDARY_TOKEN]  # the boundary's code is the last one
+    buckets = np.fromiter((_bucket(t, config.hash_buckets) for t in distinct),
+                          dtype=np.int64, count=len(distinct))
+    token_flags = np.array([_token_flags(t) for t in distinct], dtype=np.float64)
+    total = int(offsets[-1])
+    pos = np.arange(total)[:, None] + np.arange(-config.window, config.window + 1)
+    inside = ((pos >= np.repeat(offsets[:-1], lengths)[:, None])
+              & (pos < np.repeat(offsets[1:], lengths)[:, None]))
+    # position `total` reads the boundary code appended after the real tokens
+    slot_codes = np.append(np.asarray(flat, dtype=np.intp), len(distinct) - 1)[
+        np.where(inside, pos, total)]
+    return EncodedTokens(buckets[slot_codes], token_flags[slot_codes], offsets)
 
 
 class TaggerModel:
@@ -118,7 +125,7 @@ class TaggerModel:
                  w2: np.ndarray, b2: np.ndarray):
         self.config = config
         self.scheme = scheme
-        self.embed = embed  # (hash_buckets, embed_dim)
+        self.embed = embed  # (hash_buckets, embed_dim); a stage works on fewer rows
         self.w1 = w1        # (input_dim, hidden_dim)
         self.b1 = b1        # (hidden_dim,)
         self.w2 = w2        # (hidden_dim, tag_count)
@@ -368,23 +375,21 @@ class StageTrace:
 
 
 def _fixed_targets(data, scheme: LabelScheme, config: TaggerConfig,
-                   ) -> tuple[EncodedTokens, Callable[[np.ndarray], np.ndarray]]:
+                   ) -> tuple[EncodedTokens, Callable[..., np.ndarray]]:
     """Encoded training sentences and a lookup into their fixed target rows."""
     if isinstance(data, SoftDataset):
         if data.scheme.categories != scheme.categories:
             raise ValueError("soft dataset scheme differs from model scheme")
-        token_seqs, target_list = [s.tokens for s in data.sentences], list(data.dists)
+        rows = np.concatenate(data.dists) if data.dists else None  # fit rejects empty data
     elif isinstance(data, Corpus):
         if not data.fully_labelled:
             raise ValueError("training corpus needs hard labels")
-        token_seqs = [s.tokens for s in data.sentences]
-        target_list = [one_hot_rows(s.labels, scheme.tag_count) for s in data.sentences]
+        rows = one_hot_rows([l for s in data.sentences for l in s.labels], scheme.tag_count)
     else:
         raise TypeError(f"cannot train on {type(data).__name__}; "
                         "expected Corpus or SoftDataset")
-    enc = encode_tokens(token_seqs, config)
-    rows = np.concatenate(target_list) if target_list else None  # fit rejects empty data
-    return enc, lambda tok: rows[tok]
+    enc = encode_tokens([s.tokens for s in data.sentences], config)
+    return enc, lambda tok, ids, flags: rows[tok]
 
 
 def validation_set(val: Corpus, config: TaggerConfig,
@@ -407,58 +412,99 @@ def validation_f1(model: TaggerModel, val_enc: EncodedTokens,
     return evaluation.key_f1(pred, val_gold)
 
 
-def fit(model: TaggerModel, enc: EncodedTokens,
-        targets: Callable[[np.ndarray], np.ndarray], val: Corpus,
+class StageTable:
+    """One training stage's inputs, built once, on a compact embedding table.
+
+    A stage reads only the embedding rows of its training and validation
+    tokens and updates only those of its training tokens.  `rows` holds
+    their sorted unique bucket ids.  `enc` and `val_enc` are the stage's
+    encodings with every id replaced by its position in `rows`, and `work`
+    is a copy of `model` whose table holds just those rows, so the stage's
+    model copies (best model, teacher) are small.  Training `work` gives the
+    full model's numbers bit for bit: a remapped id gathers the same row,
+    and the remap keeps the order of every set of unique ids.
+    """
+
+    def __init__(self, model: TaggerModel, enc: EncodedTokens, val: Corpus,
+                 config: TaggerConfig):
+        val_enc, self.val_gold = validation_set(val, config)
+        self.model = model
+        self.rows = np.unique(np.concatenate([enc.ids.reshape(-1), val_enc.ids.reshape(-1)]))
+        self.enc, self.val_enc = self._remap(enc), self._remap(val_enc)
+        self.work = TaggerModel(model.config, model.scheme, model.embed[self.rows],
+                                model.w1.copy(), model.b1.copy(),
+                                model.w2.copy(), model.b2.copy())
+
+    def _remap(self, enc: EncodedTokens) -> EncodedTokens:
+        return EncodedTokens(np.searchsorted(self.rows, enc.ids), enc.flags, enc.offsets)
+
+    def write(self, compact: TaggerModel, into: TaggerModel) -> TaggerModel:
+        """Write a compact model's rows and dense layers into the full-table
+        model `into` (`model` or a copy of it) and return `into`."""
+        into.embed[self.rows] = compact.embed
+        for name in ("w1", "b1", "w2", "b2"):
+            np.copyto(into.params()[name], compact.params()[name])
+        return into
+
+
+def fit(table: StageTable, targets: Callable[..., np.ndarray],
         config: TaggerConfig, stage: str, stream: int, epochs: int,
         patience: int | None = None,
         after_epoch: Callable[[int, TaggerModel], bool] | None = None,
         ) -> tuple[TaggerModel, StageTrace]:
     """The mini-batch SGD loop of every training stage.
 
-    Each epoch shuffles the sentences of `enc` with the `stream` RNG of
-    config.seed, takes one SGD step per batch towards `targets(tok)`, the
-    (len(tok), C) target rows of the flat token indices `tok`, and then
-    measures validation span micro-F1.  After each epoch, in this order:
-    the best iteration so far is selected (the starting model is iteration 0
-    and a tie keeps the earlier one), `after_epoch(epoch, model)` runs and
-    its truthy return is recorded as a teacher refresh, and the stage stops
-    once `patience` epochs in a row have not improved.  The selected
-    parameters are restored into `model`, which is also returned.
+    Trains `table.work`.  Each epoch shuffles the sentences of `table.enc`
+    with the `stream` RNG of config.seed and gathers their ids and flags in
+    that order once; each batch is then a contiguous slice of them.  One SGD
+    step per batch goes towards `targets(tok, ids, flags)`, the (len(tok), C)
+    target rows of the batch's flat token indices `tok`, whose remapped ids
+    and flags are `ids` and `flags`.  Validation span micro-F1 follows.
+    After each epoch, in this order: the best iteration so far is selected
+    (the starting model is iteration 0 and a tie keeps the earlier one),
+    `after_epoch(epoch, table.work)` runs and its truthy return is recorded
+    as a teacher refresh, and the stage stops once `patience` epochs in a
+    row have not improved.  The selected parameters are written into
+    `table.model`, which is also returned.
     """
+    enc, work = table.enc, table.work
     n = len(enc)
     if not n:
         raise ValueError("empty training data")
-    lengths = enc.lengths
-    sent_tok = [np.arange(a, b) for a, b in zip(enc.offsets[:-1], enc.offsets[1:])]
-    val_enc, val_gold = validation_set(val, config)
     rng = seeded_rng(config.seed, stream)
-    trace = StageTrace(stage, [validation_f1(model, val_enc, val_gold)])
-    best_model, since_best = model.copy(), 0
+    trace = StageTrace(stage, [validation_f1(work, table.val_enc, table.val_gold)])
+    best, since_best = work.copy(), 0
+    bounds = np.zeros(n + 1, dtype=np.intp)
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
+        sizes = enc.lengths[order]
+        np.cumsum(sizes, out=bounds[1:])
+        # flat token indices of the sentences in `order`, sentence by sentence
+        tok = np.arange(bounds[-1]) + np.repeat(enc.offsets[order] - bounds[:-1], sizes)
+        ids, flags = enc.ids[tok], enc.flags[tok]
         total = 0.0
         for start in range(0, n, config.batch_size):
-            chunk = order[start:start + config.batch_size]
-            tok = np.concatenate([sent_tok[s] for s in chunk])
-            w = sentence_weights(lengths[chunk])
-            loss, grads = flat_loss_and_grads(model, enc.ids[tok], enc.flags[tok],
-                                              targets(tok), w)
-            sgd_step(model, grads, config.learning_rate)
-            total += loss * chunk.size
+            stop = min(start + config.batch_size, n)
+            batch = slice(bounds[start], bounds[stop])
+            loss, grads = flat_loss_and_grads(
+                work, ids[batch], flags[batch],
+                targets(tok[batch], ids[batch], flags[batch]),
+                sentence_weights(sizes[start:stop]))
+            sgd_step(work, grads, config.learning_rate)
+            total += loss * (stop - start)
         trace.losses.append(total / n)
-        trace.val_f1.append(validation_f1(model, val_enc, val_gold))
+        trace.val_f1.append(validation_f1(work, table.val_enc, table.val_gold))
         if trace.val_f1[-1] > trace.best_f1:
             trace.best_iteration, since_best = epoch, 0
-            best_model.load_from(model)
+            best.load_from(work)
         else:
             since_best += 1
-        if after_epoch is not None and after_epoch(epoch, model):
+        if after_epoch is not None and after_epoch(epoch, work):
             trace.refresh_epochs.append(epoch)
         if patience is not None and since_best >= patience:
             trace.stopped_early = True
             break
-    model.load_from(best_model)
-    return model, trace
+    return table.write(best, table.model), trace
 
 
 def train(model: TaggerModel, data, val: Corpus,
@@ -471,9 +517,8 @@ def train(model: TaggerModel, data, val: Corpus,
     Deterministic given config.seed.
     """
     config = config or model.config
-    # handed straight to fit, so the training arrays are freed with fit's
-    # arguments, before its best-model copy: that order keeps peak RSS down
-    return fit(model, *_fixed_targets(data, model.scheme, config), val, config,
+    enc, targets = _fixed_targets(data, model.scheme, config)
+    return fit(StageTable(model, enc, val, config), targets, config,
                "ner_fit", STREAM_TRAIN, config.max_epochs, config.patience)
 
 

@@ -68,7 +68,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("method,config,message", [
         ("supervised", {"self_train_epoch": 999}, "unknown experiment config keys"),
         ("bde:supervised+supervised", {"bde_k": 1}, "bde_k must be >= 2"),
-    ], ids=["misspelled-key", "bde-k-1"])
+        ("bond", {"self_train_epochs": 0}, "self_train_epochs must be >= 1"),
+        ("supervised", {"tagger": {"patience": 0}}, "patience must be >= 1"),
+    ], ids=["misspelled-key", "bde-k-1", "self-train-epochs-0", "patience-0"])
     def test_bad_train_config_is_usage_error(self, workdir, tmp_path, capsys,
                                              method, config, message):
         bad = tmp_path / "train.json"
@@ -80,6 +82,23 @@ class TestExitCodes:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config,message", [
+        ({"self_train_epochs": 0}, "self_train_epochs must be >= 1"),
+        ({"teacher_refresh_period": 0}, "teacher_refresh_period must be >= 1"),
+        ({"tagger": {"patience": 0}}, "patience must be >= 1"),
+    ], ids=["self-train-epochs-0", "refresh-period-0", "patience-0"])
+    def test_bad_experiment_config_is_usage_error(self, tmp_path, capsys, config, message):
+        # rejected before any cell runs, not reported per cell with exit 0
+        bad = tmp_path / "experiment.json"
+        bad.write_text(json.dumps({
+            "synth": {"n_sentences": 20, "seed": 1}, "dev_sentences": 10,
+            "test_sentences": 10, "fractions": [0.5], "seeds": [0],
+            "methods": ["bond"], "workers": 1, **config}))
+        rc = cli.main(["experiment", "--config", str(bad), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_parse_error_is_usage_error(self, tmp_path, capsys):
         mangled = tmp_path / "mangled.conll"

@@ -35,6 +35,26 @@ PINNED = {
     "bde:guided_bond+guided_bond": ("0.10309278350515463", "0.1038961038961039"),
 }
 
+# method -> (precision, recall, f1, val_f1, kept_entities) as written in results.csv;
+# every row also has fraction 0.3, seed 0 and an empty error column
+PINNED_ROWS = {
+    "supervised": (
+        "0.044897959183673466", "0.09821428571428571", "0.061624649859943974",
+        "0.11046511627906976", "114"),
+    "bond": (
+        "0.044897959183673466", "0.09821428571428571", "0.061624649859943974",
+        "0.11046511627906976", "114"),
+    "guided_bond": (
+        "0.0931899641577061", "0.23214285714285715", "0.1329923273657289",
+        "0.19895287958115182", "114"),
+    "bde:guided_bond+supervised": (
+        "0.041666666666666664", "0.10714285714285714", "0.06",
+        "0.03980099502487562", "114"),
+    "bde:guided_bond+guided_bond": (
+        "0.07246376811594203", "0.17857142857142858", "0.10309278350515463",
+        "0.1038961038961039", "114"),
+}
+
 
 def lane_rows(out_dir: str) -> list[dict]:
     """results.csv rows of the lane, without the wall_ms column."""
@@ -51,6 +71,16 @@ def test_pinned_f1(tmp_path):
     assert {row["method"]: (row["f1"], row["val_f1"]) for row in rows} == PINNED
 
 
+def expected_rows() -> list[dict]:
+    return [dict(method=method, fraction="0.3", seed="0", precision=p, recall=r, f1=f1,
+                 val_f1=val_f1, kept_entities=kept, error="")
+            for method, (p, r, f1, val_f1, kept) in PINNED_ROWS.items()]
+
+
+def test_pinned_rows(tmp_path):
+    assert lane_rows(str(tmp_path)) == expected_rows()
+
+
 def test_blas_thread_count_does_not_change_rows(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     outputs = []
@@ -64,6 +94,7 @@ def test_blas_thread_count_does_not_change_rows(tmp_path):
         outputs.append(json.loads(proc.stdout))
     assert outputs[0] == outputs[1]
     assert {row["method"]: (row["f1"], row["val_f1"]) for row in outputs[0]} == PINNED
+    assert outputs[0] == expected_rows()
 
 
 if __name__ == "__main__":

@@ -96,6 +96,8 @@ class TestExperimentConfig:
         dict(fractions=(0.1, 0.1)),
         dict(seeds=(0, 0)),
         dict(seeds=(0, 0), fractions=(0.1, 0.1)),
+        dict(self_train_epochs=0),
+        dict(teacher_refresh_period=0),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ConfigError):
@@ -122,6 +124,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("data,message", [
         ({"synth": {"n_sentence": 50}}, "unknown synth config keys"),
         ({"tagger": {"embed_dims": 8}}, "bad experiment config"),
+        ({"tagger": {"patience": 0}}, "patience must be >= 1"),
     ])
     def test_from_dict_rejects_unknown_nested_keys(self, data, message):
         with pytest.raises(ConfigError, match=message):

@@ -1,9 +1,10 @@
 """Tests for the two-stage self-training loop and its guided variant."""
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
-
-import hashlib
 
 from partialner import selftrain, tagger
 from partialner.annotation import mask_entities, partial_from_labels
@@ -269,11 +270,51 @@ PINNED_TRACES = {
         "refresh_epochs": [2, 4],
         "params": "d5f8caccc4d4dce6e7f278a1f312bdb6eca5ed5dc85009c5b17b26371ece419e",
     },
+    "hard_target_self_train": {
+        "val_f1": [
+            "0x1.8e6527af1373ep-4", "0x1.3333333333334p-4", "0x1.1111111111110p-4",
+            "0x1.970e4f80cb872p-7", "0x1.6c16c16c16c17p-6", "0x0.0p+0",
+        ],
+        "losses": [
+            "0x1.afd2faedd78efp+0", "0x1.8ec275de8fbf7p+0", "0x1.2f305eb6916c4p+0",
+            "0x1.c85622b9699bfp-1", "0x1.097a6f05930bep-1",
+        ],
+        "best_iteration": 0,
+        "refresh_epochs": [2, 4],
+        "params": "6d68974475d5fb014f17cb4c53cc3b2ba90ef0deff6e2a55f1e820f5ae69af1a",
+    },
+}
+
+# teacher checkpoint file -> array name -> SHA-256 of the array's bytes, for
+# the "hard_target_self_train" stage
+PINNED_TEACHERS = {
+    "teacher_epoch002.npz": {
+        "b1": "f148ac1ac27f22c0156100e815b13da48b1fb38f543180fd3603c647e9305af5",
+        "b2": "b75ddbb37d1484c8bba07ec75ccf6c7d259a4503f8f8ba08b298be7ac46faf25",
+        "categories": "e0c0c025167c557224ca03ba95da931e32b0694bc6e8e7ca6bf0159bc2716678",
+        "config": "267f95172961038d386c1d60e0ce85f65c7a246ddc5d5589914212f9545545a7",
+        "embed": "6ee642018fba0ef09781dc288b5d36c3c18eba3c72ec16f237e9cda2090e7342",
+        "magic": "0326914df51b7b649dbdccadd6e1214db2a3ba0fb0f93c61394ea49bf1159d68",
+        "w1": "cd63e1cf1e2a76a6353005c5f7a6524f80438950dc077a2a72568fdd253b2464",
+        "w2": "b660ebb773daf51292a51494317717f066f579fcec4306a06fc29670b0187d00",
+    },
+    "teacher_epoch004.npz": {
+        "b1": "4a17dc5e83aecf243b84433053cc4067041b1a68a89a1819dc0f38ccff02371f",
+        "b2": "ba46fcf263ab6887c1565928654a527cb5ca739ceaf9fbf9d4f3a53b8602920b",
+        "categories": "e0c0c025167c557224ca03ba95da931e32b0694bc6e8e7ca6bf0159bc2716678",
+        "config": "267f95172961038d386c1d60e0ce85f65c7a246ddc5d5589914212f9545545a7",
+        "embed": "378f630094784db4ba37867d896980df6dd72fa8b1ac590a4ecc671ad961ff7c",
+        "magic": "0326914df51b7b649dbdccadd6e1214db2a3ba0fb0f93c61394ea49bf1159d68",
+        "w1": "f0de91d6218c8c2b9736373feb0d3e266efbe77588ac791f4fa53fe2d864c8dc",
+        "w2": "aee120b8a423bcebf363c156d0562df4e9fef8c0163db5f615637f7c28f8b388",
+    },
 }
 
 
 class TestPinnedTraces:
-    """Traces recorded before the two SGD loops were merged into `tagger.fit`."""
+    """Traces recorded before the two SGD loops were merged into `tagger.fit`;
+    the hard-target stage and its teacher checkpoints before `fit` moved onto
+    a compact per-stage embedding table."""
 
     def check(self, name, model, trace):
         want = PINNED_TRACES[name]
@@ -291,10 +332,48 @@ class TestPinnedTraces:
         cfg = fast_config(guidance=True, self_train_epochs=4, teacher_refresh_period=2)
         self.check("guided_self_train", *self_train(fitted, masked, val, cfg))
 
+    def test_hard_target_self_train_and_its_teacher_checkpoints(self, splits, masked,
+                                                                 tmp_path):
+        _, val = splits
+        fitted = ner_fit(masked, val, fast_config())[0]
+        cfg = fast_config(hard_targets=True, self_train_epochs=5, teacher_refresh_period=2,
+                          checkpoint_dir=str(tmp_path))
+        self.check("hard_target_self_train", *self_train(fitted, masked, val, cfg))
+        digests = {}
+        for name in sorted(os.listdir(tmp_path)):
+            with np.load(tmp_path / name) as z:
+                digests[name] = {k: hashlib.sha256(np.ascontiguousarray(z[k]).tobytes())
+                                 .hexdigest() for k in sorted(z.files)}
+        assert digests == PINNED_TEACHERS
+
     def test_ner_fit_that_improves_on_its_start(self, splits):
         trn, val = splits
         self.check("ner_fit_full_labels",
                    *ner_fit(partial_from_labels(trn), val, fast_config()))
+
+
+class TestStageTable:
+    def test_guided_self_train_keeps_rows_outside_the_stage(self, splits, masked, tmp_path):
+        _, val = splits
+        cfg = fast_config(guidance=True, self_train_epochs=4, teacher_refresh_period=2,
+                          checkpoint_dir=str(tmp_path))
+        init_model = ner_fit(masked, val, cfg)[0]
+        start = init_model.copy()
+        model, trace = self_train(init_model, masked, val, cfg)
+        assert trace.best_iteration > 0
+        seqs = [p.tokens for p in masked] + [s.tokens for s in val.sentences]
+        inside = np.unique(tagger.encode_tokens(seqs, cfg.tagger).ids)
+        outside = np.setdiff1d(np.arange(cfg.tagger.hash_buckets), inside)
+        assert outside.size
+        for name, arr in init_model.params().items():  # the input is not written
+            np.testing.assert_array_equal(bits(arr), bits(start.params()[name]))
+        teachers = [load_checkpoint(str(tmp_path / f"teacher_epoch{e:03d}.npz"))
+                    for e in trace.refresh_epochs]
+        assert len(teachers) == 2
+        for m in [model, *teachers]:
+            assert m.embed.shape == start.embed.shape
+            np.testing.assert_array_equal(bits(m.embed[outside]), bits(start.embed[outside]))
+            assert not np.array_equal(m.embed[inside], start.embed[inside])
 
 
 class TestRunMethod:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialner.annotation import one_hot_rows
 from partialner.corpus import (Corpus, LabelScheme, Sentence, SynthConfig, decode_bio,
@@ -11,8 +13,11 @@ from partialner.corpus import (Corpus, LabelScheme, Sentence, SynthConfig, decod
 from partialner.evaluation import evaluate_model, span_f1
 from partialner.tagger import (
     BOUNDARY_TOKEN,
+    _bucket,
+    _token_flags,
     EncodedTokens,
     SoftDataset,
+    StageTable,
     TaggerConfig,
     StageTrace,
     TaggerModel,
@@ -120,6 +125,52 @@ class TestEncoding:
         enc = encode_tokens([], small_config())
         assert enc.ids.shape[0] == 0
         assert len(enc) == 0
+
+
+def reference_encode_tokens(token_seqs, config) -> EncodedTokens:
+    """The per-token encoder that `encode_tokens` replaced: pad each sentence
+    with `window` boundary tokens per side and slide a window over it."""
+    pad = [BOUNDARY_TOKEN] * config.window
+    ids_rows, flags_rows, offsets = [], [], [0]
+    for tokens in token_seqs:
+        padded = [*pad, *tokens, *pad]
+        pids = [_bucket(t, config.hash_buckets) for t in padded]
+        pflags = [_token_flags(t) for t in padded]
+        for k in range(len(tokens)):
+            ids_rows.append(pids[k:k + config.slots])
+            flags_rows.append(pflags[k:k + config.slots])
+        offsets.append(offsets[-1] + len(tokens))
+    ids = np.asarray(ids_rows, dtype=np.int64).reshape(-1, config.slots)
+    flags = np.asarray(flags_rows, dtype=np.float64).reshape(-1, config.slots, 2)
+    return EncodedTokens(ids, flags, np.asarray(offsets, dtype=np.intp))
+
+
+token_st = st.one_of(
+    st.text(alphabet="aAzZ09_-.é", max_size=6),
+    st.sampled_from([BOUNDARY_TOKEN, "__BOUNDARY__", "Paris", "paris", "PARIS", "b12"]))
+corpus_st = st.lists(st.lists(token_st, max_size=6).map(tuple), max_size=5)
+
+
+class TestEncoderMatchesReference:
+    @settings(deadline=None, max_examples=200)
+    @given(corpus_st, st.integers(0, 3), st.sampled_from([1, 2, 3, 7, 1 << 16]))
+    def test_ids_flags_and_offsets_are_identical(self, seqs, window, buckets):
+        cfg = small_config(window=window, hash_buckets=buckets)
+        got, want = encode_tokens(seqs, cfg), reference_encode_tokens(seqs, cfg)
+        for name in ("ids", "flags", "offsets"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            np.testing.assert_array_equal(g, w, err_msg=name)
+
+    def test_synthetic_corpus(self):
+        corpus = generate_synthetic(SynthConfig(n_sentences=300, seed=5))
+        seqs = [s.tokens for s in corpus.sentences]
+        for window in range(4):
+            cfg = small_config(window=window, hash_buckets=1 << 16)
+            got, want = encode_tokens(seqs, cfg), reference_encode_tokens(seqs, cfg)
+            for name in ("ids", "flags", "offsets"):
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestModel:
@@ -439,6 +490,43 @@ class TestTrain:
         cfg = small_config()
         with pytest.raises(ValueError, match="scheme"):
             train(TaggerModel.init(cfg, scheme), soft, val, cfg)
+
+
+def stage_buckets(train_seqs, val, config) -> np.ndarray:
+    """Sorted unique bucket ids of a stage's training and validation tokens."""
+    seqs = [*train_seqs, *(s.tokens for s in val.sentences)]
+    return np.unique(encode_tokens(seqs, config).ids)
+
+
+class TestStageTable:
+    def test_compact_rows_and_remapped_ids(self, scheme, learnable):
+        trn, val = learnable
+        cfg = small_config(hash_buckets=4096)
+        model = TaggerModel.init(cfg, scheme)
+        enc = encode_tokens([s.tokens for s in trn.sentences], cfg)
+        table = StageTable(model, enc, val, cfg)
+        np.testing.assert_array_equal(
+            table.rows, stage_buckets([s.tokens for s in trn.sentences], val, cfg))
+        assert table.rows.size < cfg.hash_buckets
+        np.testing.assert_array_equal(table.rows[table.enc.ids], enc.ids)
+        val_enc = encode_tokens([s.tokens for s in val.sentences], cfg)
+        np.testing.assert_array_equal(table.rows[table.val_enc.ids], val_enc.ids)
+        np.testing.assert_array_equal(table.work.embed, model.embed[table.rows])
+        assert table.work.embed.base is None  # a copy: the stage never writes `model` early
+
+    def test_rows_outside_the_stage_keep_their_bits(self, scheme, learnable):
+        trn, val = learnable
+        cfg = TaggerConfig(embed_dim=8, window=1, hidden_dim=12, hash_buckets=4096,
+                           learning_rate=0.3, max_epochs=4, patience=4, seed=0)
+        start = TaggerModel.init(cfg, scheme)
+        model, trace = train(start.copy(), trn, val, cfg)
+        assert trace.best_iteration > 0
+        inside = stage_buckets([s.tokens for s in trn.sentences], val, cfg)
+        outside = np.setdiff1d(np.arange(cfg.hash_buckets), inside)
+        assert outside.size
+        np.testing.assert_array_equal(model.embed[outside].view(np.int64),
+                                      start.embed[outside].view(np.int64))
+        assert not np.array_equal(model.embed[inside], start.embed[inside])
 
 
 class TestSoftDataset:
