@@ -8,7 +8,7 @@ soft training targets.
 """
 from .annotation import (EntityAnnotationSet, PartiallyAnnotatedSentence,
                          guide_correct, mask_entities)
-from .bde import BdeConfig, BdeOutput, LineageRecord, run_bde
+from .bde import BdeConfig, LineageRecord, run_bde
 from .corpus import (Corpus, EntitySpan, LabelScheme, Sentence, SynthConfig,
                      decode_bio, encode_bio, generate_synthetic, parse_conll,
                      serialize_conll)
@@ -20,7 +20,7 @@ from .tagger import TaggerConfig, TaggerModel, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "BdeConfig", "BdeOutput", "Corpus", "EntityAnnotationSet", "EntitySpan",
+    "BdeConfig", "Corpus", "EntityAnnotationSet", "EntitySpan",
     "EvalResult", "ExperimentConfig", "LabelScheme", "LineageRecord",
     "PartiallyAnnotatedSentence", "SelfTrainConfig", "Sentence", "SynthConfig",
     "TaggerConfig", "TaggerModel", "decode_bio", "encode_bio", "evaluate_model",

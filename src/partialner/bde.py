@@ -158,8 +158,7 @@ class _Handover:
         return self.estimates.pop(key, None)
 
     def put(self, key: tuple, soft: tagger.SoftDataset, lineage: LineageRecord) -> None:
-        self.estimates[key] = (replace(soft, dists=[d.copy() for d in soft.dists]),
-                               copy.deepcopy(lineage))
+        self.estimates[key] = (replace(soft, rows=soft.rows.copy()), copy.deepcopy(lineage))
 
 
 _handover = _Handover()
@@ -169,12 +168,11 @@ def estimate_base(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
                   config: BdeConfig) -> tuple[tagger.SoftDataset, LineageRecord]:
     """Per fold, train the inner method on the complement and score the fold.
 
-    The assembled SoftDataset carries each sentence's kept-entity set so the
-    final stage can optionally train with guidance.  The estimate does not
-    depend on `config.final_method`, so it is computed once for the two final
-    methods: the result is held until the next call with equal corpora and
-    equal `k`, `inner_method`, `seed` and `selftrain`, which takes it (after
-    verifying its lineage again) instead of recomputing it.
+    The estimate does not depend on `config.final_method`, so it is computed
+    once for the two final methods: the result is held until the next call
+    with equal corpora and equal `k`, `inner_method`, `seed` and `selftrain`,
+    which takes it (after verifying its lineage again) instead of
+    recomputing it.
     """
     corpora = (tuple(partial), val)
     key = (config.k, config.inner_method, config.seed, config.selftrain)
@@ -184,7 +182,8 @@ def estimate_base(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
         return held
     n = len(partial)
     part = partition(n, config.k, derive_seed(config.seed, 0))
-    dists: list[np.ndarray | None] = [None] * n
+    offsets = np.cumsum([0, *map(len, partial)])
+    rows = np.empty((offsets[-1], val.scheme.tag_count))  # every sentence is scored once
     lineage = LineageRecord([], [], [0] * n)
     for i in range(config.k):
         train_ids = part.complement(i)
@@ -195,65 +194,43 @@ def estimate_base(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
         seqs = out.model.sequence_distributions(
             [partial[s].tokens for s in scored_ids])
         for s, d in zip(scored_ids, seqs):
-            dists[s] = d
+            rows[offsets[s]:offsets[s + 1]] = d
             lineage.sentence_fold[s] = i
         lineage.fold_train_ids.append(sorted(train_ids))
         lineage.fold_scored_ids.append(sorted(scored_ids))
     lineage.verify()
-    soft = tagger.SoftDataset(tuple(p.sentence for p in partial), tuple(dists),
-                              val.scheme, tuple(p.known for p in partial))
+    soft = tagger.SoftDataset(tuple(p.sentence for p in partial), rows, val.scheme)
     _handover.put(key, soft, lineage)
     return soft, lineage
 
 
-def train_on_base(soft: tagger.SoftDataset, val: Corpus, config: BdeConfig,
-                  ) -> tuple[tagger.TaggerModel, float, list[tagger.StageTrace]]:
-    """Final-stage training on the assembled soft targets.
+def train_on_base(partial: Sequence[PartiallyAnnotatedSentence],
+                  soft: tagger.SoftDataset, val: Corpus,
+                  config: BdeConfig) -> selftrain.RunOutput:
+    """Final-stage training: `config.final_method` with its fit on the
+    assembled soft targets of `partial`.
 
-    final_method=supervised fits directly on the distributions;
-    final_method=guided_bond runs guided self-training initialized from that
-    soft-target fit, using the kept-entity sets carried in the dataset.
+    final_method=supervised is that soft-target fit; final_method=guided_bond
+    runs guided self-training from it, pinning the kept spans of `partial`.
     """
     cfg = _with_seed(config.selftrain, derive_seed(config.seed, 2))
-    model = tagger.TaggerModel.init(cfg.tagger, val.scheme)
-    model, fit_trace = tagger.train(model, soft, val, cfg.tagger)
-    if config.final_method == "supervised":
-        return model, fit_trace.best_f1, [fit_trace]
-    if soft.known is None:
-        raise ValueError("guided final training needs kept-entity sets")
-    partial = [PartiallyAnnotatedSentence(s, k)
-               for s, k in zip(soft.sentences, soft.known)]
-    st_cfg = replace(cfg, guidance=True)
-    best, st_trace = selftrain.self_train(model, partial, val, st_cfg)
-    return best, st_trace.best_f1, [fit_trace, st_trace]
-
-
-@dataclass
-class BdeOutput:
-    """Everything one cross-fit run produced."""
-
-    model: tagger.TaggerModel
-    val_f1: float
-    traces: list[tagger.StageTrace]
-    lineage: LineageRecord
-    soft: tagger.SoftDataset
+    return selftrain.run_method(config.final_method, partial, val, cfg, soft)
 
 
 def run_bde(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
             config: BdeConfig, soft_path: str | None = None,
-            lineage_path: str | None = None) -> BdeOutput:
+            lineage_path: str | None = None) -> selftrain.RunOutput:
     """Full pipeline: estimate soft targets cross-fit, then train the final model.
 
-    The estimation stage's outputs can be materialized to disk (`soft_path`,
-    `lineage_path`) for audits and resumability.
+    The estimation stage's outputs can be written to disk (`soft_path`,
+    `lineage_path`) for audits.
     """
     soft, lineage = estimate_base(partial, val, config)
     if soft_path:
         save_soft(soft, soft_path)
     if lineage_path:
         lineage.write_csv(lineage_path)
-    model, val_f1, traces = train_on_base(soft, val, config)
-    return BdeOutput(model, val_f1, traces, lineage, soft)
+    return train_on_base(partial, soft, val, config)
 
 
 def save_soft(soft: tagger.SoftDataset, path: str) -> None:
@@ -265,9 +242,10 @@ def save_soft(soft: tagger.SoftDataset, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(SOFT_MAGIC)
         fh.write(struct.pack("<III", SOFT_VERSION, soft.scheme.tag_count, len(soft)))
-        for i, d in enumerate(soft.dists):
-            fh.write(struct.pack("<II", i, d.shape[0]))
-            fh.write(np.ascontiguousarray(d, dtype="<f8").tobytes())
+        offsets = np.cumsum([0, *map(len, soft.sentences)])
+        for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+            fh.write(struct.pack("<II", i, b - a))
+            fh.write(np.ascontiguousarray(soft.rows[a:b], dtype="<f8").tobytes())
 
 
 def load_soft(path: str, partial: Sequence[PartiallyAnnotatedSentence],
@@ -283,7 +261,8 @@ def load_soft(path: str, partial: Sequence[PartiallyAnnotatedSentence],
             raise ValueError(f"{path}: {c} tags, scheme has {scheme.tag_count}")
         if n != len(partial):
             raise ValueError(f"{path}: {n} sentences, corpus has {len(partial)}")
-        dists: list[np.ndarray] = []
+        offsets = np.cumsum([0, *map(len, partial)])
+        rows = np.empty((offsets[-1], c))
         for expect in range(n):
             sid, length = struct.unpack("<II", fh.read(8))
             if sid != expect:
@@ -292,6 +271,5 @@ def load_soft(path: str, partial: Sequence[PartiallyAnnotatedSentence],
                 raise ValueError(f"{path}: sentence {sid} length {length} != "
                                  f"{len(partial[sid])}")
             raw = fh.read(8 * length * c)
-            dists.append(np.frombuffer(raw, dtype="<f8").reshape(length, c).copy())
-    return tagger.SoftDataset(tuple(p.sentence for p in partial), tuple(dists),
-                              scheme, tuple(p.known for p in partial))
+            rows[offsets[sid]:offsets[sid + 1]] = np.frombuffer(raw, "<f8").reshape(length, c)
+    return tagger.SoftDataset(tuple(p.sentence for p in partial), rows, scheme)

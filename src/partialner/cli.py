@@ -11,12 +11,13 @@ import os
 import sys
 from dataclasses import replace
 
-from . import bde, selftrain, tagger
+from . import tagger
 from .annotation import mask_entities, partial_from_labels, to_corpus, write_kept_sidecar
 from .corpus import (ConfigError, ParseError, SynthConfig, generate_synthetic,
                      infer_scheme, parse_conll, serialize_conll)
 from .evaluation import evaluate_model
-from .experiment import ExperimentConfig, MethodSpec, run_experiment, verify_report
+from .experiment import (ExperimentConfig, MethodSpec, run_experiment, train_spec,
+                         verify_report)
 
 USAGE_ERROR = 2
 
@@ -65,8 +66,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_method(args: argparse.Namespace):
-    """Shared train path; returns (model, val_f1, traces, extras)."""
+def cmd_train(args: argparse.Namespace) -> int:
     spec = MethodSpec.parse(args.method)
     with open(args.train, "r", encoding="utf-8") as fh:
         train_text = fh.read()
@@ -75,33 +75,16 @@ def _train_method(args: argparse.Namespace):
     scheme = infer_scheme(train_text, dev_text)
     train_c = parse_conll(train_text, scheme, os.path.basename(args.train))
     dev_c = parse_conll(dev_text, scheme, os.path.basename(args.dev))
-    partial = partial_from_labels(train_c)
-
     exp = ExperimentConfig.from_dict(_load_json(args.config))
     seed = exp.tagger.seed if args.seed is None else args.seed
-    st_cfg = exp.selftrain_config(seed)
-
-    extras = {}
-    if spec.kind == "bde":
-        cfg = bde.BdeConfig(exp.bde_k, spec.inner, spec.final, st_cfg, seed=seed)
-        out = bde.run_bde(partial, dev_c, cfg)
-        extras["lineage"] = out.lineage
-        extras["soft"] = out.soft
-        return out.model, out.val_f1, out.traces, extras
-    result = selftrain.run_method(spec.kind, partial, dev_c, st_cfg)
-    return result.model, result.val_f1, result.traces, extras
-
-
-def cmd_train(args: argparse.Namespace) -> int:
-    model, val_f1, traces, extras = _train_method(args)
     os.makedirs(args.out, exist_ok=True)
-    tagger.save_checkpoint(model, os.path.join(args.out, "checkpoint.npz"))
-    for trace in traces:
+    out = train_spec(spec, partial_from_labels(train_c), dev_c, exp, seed,
+                     os.path.join(args.out, "soft.bin"),
+                     os.path.join(args.out, "lineage.csv"))
+    tagger.save_checkpoint(out.model, os.path.join(args.out, "checkpoint.npz"))
+    for trace in out.traces:
         trace.write_csv(os.path.join(args.out, f"trace_{trace.stage}.csv"))
-    if "lineage" in extras:
-        extras["lineage"].write_csv(os.path.join(args.out, "lineage.csv"))
-        bde.save_soft(extras["soft"], os.path.join(args.out, "soft.bin"))
-    print(f"val_f1={val_f1!r} checkpoint={os.path.join(args.out, 'checkpoint.npz')}")
+    print(f"val_f1={out.val_f1!r} checkpoint={os.path.join(args.out, 'checkpoint.npz')}")
     return 0
 
 
@@ -140,7 +123,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         for p in problems:
             print(f"MISMATCH {p}")
         return 1
-    print(f"report OK: summary.md matches results.csv within {args.tolerance!r}")
+    print(f"report OK: summary.md matches results.csv within {args.tolerance!r}; "
+          "every lineage file verifies")
     return 0
 
 

@@ -73,9 +73,6 @@ class LabelScheme:
         prefix = "B" if self.is_begin(index) else "I"
         return f"{prefix}-{self.category_of(index)}"
 
-    def tag_names(self) -> tuple[str, ...]:
-        return tuple(self.tag_name(i) for i in range(self.tag_count))
-
     def tag_index(self, name: str) -> int:
         try:
             return _tag_table(self)[name]
@@ -110,9 +107,6 @@ class EntitySpan:
     def __post_init__(self):
         if not 0 <= self.start < self.end:
             raise ValueError(f"bad span bounds [{self.start}, {self.end})")
-
-    def covers(self, k: int) -> bool:
-        return self.start <= k < self.end
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
-"""Span-level exact-match evaluation (conlleval semantics) and prediction.
+"""Span-level exact-match evaluation (conlleval semantics).
 
 A predicted span counts as a match iff a gold span in the same sentence has
 the same category, start and end.  Micro-averaged P/R/F1 with a per-category
 breakdown; zero denominators score 0 rather than NaN.
 
-`span_f1` over `decode_bio` spans is the reference scorer.  Training-time
-validation uses the flat form: spans of sentence-concatenated tags as int64
-keys (`bio_span_keys`, `span_keys`) scored by `key_f1`, which gives the same
-micro-F1 bit for bit.
+`span_f1` over `decode_bio` spans is the reference scorer.  Validation and
+`evaluate_model` use the flat form: spans of sentence-concatenated tags as
+int64 keys (`bio_span_keys`, `span_keys`) scored by `key_scores`, which
+gives the same result bit for bit.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, EntitySpan, LabelScheme, decode_bio
+from .corpus import Corpus, EntitySpan, LabelScheme
 
 
 def _prf(matches: int, predicted: int, gold: int) -> tuple[float, float, float]:
@@ -59,6 +59,11 @@ def span_f1(predicted: Sequence[Iterable[EntitySpan]],
                 c[0] += 1
         for span in gset:
             counts.setdefault(span.category, [0, 0, 0])[2] += 1
+    return _result(counts)
+
+
+def _result(counts: dict[str, list[int]]) -> EvalResult:
+    """EvalResult of per-category [matches, predicted, gold] span counts."""
     matches = sum(c[0] for c in counts.values())
     n_pred = sum(c[1] for c in counts.values())
     n_gold = sum(c[2] for c in counts.values())
@@ -112,24 +117,23 @@ def span_keys(spans: Sequence[Iterable[EntitySpan]], offsets: np.ndarray,
     return _keys(starts, ends, cats, int(offsets[-1]), scheme)
 
 
-def key_f1(predicted: np.ndarray, gold: np.ndarray) -> float:
-    """Micro-F1 of unique span keys; equals `span_f1(...).f1` on the same spans."""
-    matches = np.intersect1d(predicted, gold).size
-    return _prf(matches, predicted.size, gold.size)[2]
+def key_scores(predicted: np.ndarray, gold: np.ndarray, scheme: LabelScheme) -> EvalResult:
+    """`span_f1` of the spans whose unique keys are `predicted` and `gold`."""
+    n_cats = len(scheme.categories)
+    matched = np.intersect1d(predicted, gold)
+    per_cat = np.stack([np.bincount(keys % n_cats, minlength=n_cats)
+                        for keys in (matched, predicted, gold)], axis=1).tolist()
+    return _result({cat: c for cat, c in zip(scheme.categories, per_cat) if c[1] or c[2]})
 
 
-def predict(model, sentences) -> list[list[EntitySpan]]:
-    """Argmax-decode model distributions into spans per sentence.
+def evaluate_model(model, corpus: Corpus) -> EvalResult:
+    """Score a model's argmax tags over a fully labelled corpus against its
+    gold spans, the way validation does.
 
     Ties break to the lowest tag index, so an exactly uniform distribution
     yields O.
     """
-    token_seqs = [s.tokens for s in sentences]
-    dists = model.sequence_distributions(token_seqs)
-    scheme = model.scheme
-    return [decode_bio(np.argmax(d, axis=1).tolist(), scheme) for d in dists]
-
-
-def evaluate_model(model, corpus: Corpus) -> EvalResult:
-    """Predict over a fully labelled corpus and score against its gold spans."""
-    return span_f1(predict(model, corpus.sentences), corpus.gold_spans())
+    probs, offsets = model.flat_distributions([s.tokens for s in corpus.sentences])
+    pred = bio_span_keys(np.argmax(probs, axis=1), offsets, model.scheme)
+    return key_scores(pred, span_keys(corpus.gold_spans(), offsets, model.scheme),
+                      model.scheme)

@@ -231,6 +231,20 @@ class RunRecord:
                 self.error]
 
 
+def train_spec(spec: MethodSpec, partial: Sequence[PartiallyAnnotatedSentence],
+               dev: Corpus, config: ExperimentConfig, seed: int,
+               soft_path: str | None = None, lineage_path: str | None = None,
+               ) -> selftrain.RunOutput:
+    """Train one method spec with the config's training settings and model
+    seed `seed`.  A `bde:` spec writes its soft targets and lineage record to
+    `soft_path` and `lineage_path` when given; other specs write nothing."""
+    st_cfg = config.selftrain_config(seed)
+    if spec.kind != "bde":
+        return selftrain.run_method(spec.kind, partial, dev, st_cfg)
+    bde_cfg = bde.BdeConfig(config.bde_k, spec.inner, spec.final, st_cfg, seed=seed)
+    return bde.run_bde(partial, dev, bde_cfg, soft_path, lineage_path)
+
+
 def run_cell(spec: MethodSpec, partial: Sequence[PartiallyAnnotatedSentence],
              kept_count: int, dev: Corpus, test: Corpus,
              config: ExperimentConfig, fraction: float, seed: int,
@@ -238,25 +252,16 @@ def run_cell(spec: MethodSpec, partial: Sequence[PartiallyAnnotatedSentence],
     """Train and evaluate one (method, fraction, seed) cell; never raises."""
     start = time.perf_counter()
     try:
-        st_cfg = config.selftrain_config(seed)
-        if spec.kind == "bde":
-            lineage_path = None
-            if lineage_dir:
-                safe = spec.name.replace(":", "_").replace("+", "_")
-                lineage_path = os.path.join(
-                    lineage_dir, f"lineage_{safe}_f{fraction!r}_s{seed}.csv")
-            out = bde.run_bde(partial, dev,
-                              bde.BdeConfig(config.bde_k, spec.inner, spec.final,
-                                            st_cfg, seed=seed),
-                              lineage_path=lineage_path)
-            model, val_f1 = out.model, out.val_f1
-        else:
-            result = selftrain.run_method(spec.kind, partial, dev, st_cfg)
-            model, val_f1 = result.model, result.val_f1
-        res = evaluate_model(model, test)
+        lineage_path = None
+        if lineage_dir:
+            safe = spec.name.replace(":", "_").replace("+", "_")
+            lineage_path = os.path.join(
+                lineage_dir, f"lineage_{safe}_f{fraction!r}_s{seed}.csv")
+        out = train_spec(spec, partial, dev, config, seed, lineage_path=lineage_path)
+        res = evaluate_model(out.model, test)
         wall = int((time.perf_counter() - start) * 1000)
         return RunRecord(spec.name, fraction, seed, res.precision, res.recall,
-                         res.f1, val_f1, kept_count, wall)
+                         res.f1, out.val_f1, kept_count, wall)
     except Exception as exc:  # recorded, the matrix keeps going
         wall = int((time.perf_counter() - start) * 1000)
         message = f"{type(exc).__name__}: {' '.join(str(exc).split())}"
@@ -447,10 +452,11 @@ def parse_summary(path: str) -> dict[tuple[str, float], tuple[float, float, int]
 
 
 def verify_report(out_dir: str, tolerance: float = 1e-9) -> list[str]:
-    """Compare summary.md against stats recomputed from results.csv.
+    """Compare summary.md against stats recomputed from results.csv, and
+    verify every lineage file under `lineage/`.
 
     Returns a list of human-readable mismatches; empty means agreement
-    within `tolerance`.
+    within `tolerance` and no lineage file that fails to read or verify.
     """
     recomputed = recompute_stats(os.path.join(out_dir, RESULTS_NAME))
     summarized = parse_summary(os.path.join(out_dir, SUMMARY_NAME))
@@ -466,4 +472,10 @@ def verify_report(out_dir: str, tolerance: float = 1e-9) -> list[str]:
         if n1 != n2 or abs(m1 - m2) > tolerance or abs(s1 - s2) > tolerance:
             problems.append(f"{key}: recomputed mean={m1!r} std={s1!r} n={n1}, "
                             f"summary mean={m2!r} std={s2!r} n={n2}")
+    lineage_dir = os.path.join(out_dir, "lineage")
+    for name in sorted(os.listdir(lineage_dir)) if os.path.isdir(lineage_dir) else []:
+        try:
+            bde.LineageRecord.read_csv(os.path.join(lineage_dir, name)).verify()
+        except Exception as exc:  # a file that cannot be read is a mismatch too
+            problems.append(f"lineage/{name}: {type(exc).__name__}: {exc}")
     return problems

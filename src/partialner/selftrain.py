@@ -47,11 +47,13 @@ class SelfTrainConfig:
 
 
 def ner_fit(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
-            config: SelfTrainConfig) -> tuple[tagger.TaggerModel, StageTrace]:
-    """Early-stopped fit on the partial hard labels (masked entities as O)."""
-    train_corpus = to_corpus(partial, val.scheme, "partial-train")
+            config: SelfTrainConfig, soft: tagger.SoftDataset | None = None,
+            ) -> tuple[tagger.TaggerModel, StageTrace]:
+    """Early-stopped fit on `soft` targets if given, else on the partial hard
+    labels (masked entities as O)."""
+    data = to_corpus(partial, val.scheme, "partial-train") if soft is None else soft
     model = tagger.TaggerModel.init(config.tagger, val.scheme)
-    return tagger.train(model, train_corpus, val, config.tagger)
+    return tagger.train(model, data, val, config.tagger)
 
 
 def self_train(init_model: tagger.TaggerModel,
@@ -141,18 +143,21 @@ class RunOutput:
 
 
 def run_method(method: str, partial: Sequence[PartiallyAnnotatedSentence],
-               val: Corpus, config: SelfTrainConfig) -> RunOutput:
+               val: Corpus, config: SelfTrainConfig,
+               soft: tagger.SoftDataset | None = None) -> RunOutput:
     """Dispatch one training procedure by name.
 
     `supervised` is the plain early-stopped fit; `bond` adds the
-    self-training stage; `guided_bond` is `bond` with guidance on.
+    self-training stage; `guided_bond` is `bond` with guidance on.  Given
+    `soft` targets for the sentences of `partial`, the fit trains on them
+    instead of the partial hard labels; self-training still reads `partial`.
     """
     if method == "supervised":
-        model, trace = ner_fit(partial, val, config)
+        model, trace = ner_fit(partial, val, config, soft)
         return RunOutput(model, trace.best_f1, [trace])
     if method in ("bond", "guided_bond"):
         cfg = replace(config, guidance=(method == "guided_bond"))
-        init_model, fit_trace = ner_fit(partial, val, cfg)
+        init_model, fit_trace = ner_fit(partial, val, cfg, soft)
         model, st_trace = self_train(init_model, partial, val, cfg)
         return RunOutput(model, st_trace.best_f1, [fit_trace, st_trace])
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import evaluation
-from .annotation import EntityAnnotationSet, one_hot_rows
+from .annotation import one_hot_rows
 from .corpus import Corpus, LabelScheme, Sentence
 from .rng import STREAM_INIT, STREAM_TRAIN, seeded_rng
 
@@ -166,11 +166,17 @@ class TaggerModel:
         return {"embed": self.embed, "w1": self.w1, "b1": self.b1,
                 "w2": self.w2, "b2": self.b2}
 
+    def flat_distributions(self, token_seqs: Sequence[Sequence[str]],
+                           ) -> tuple[np.ndarray, np.ndarray]:
+        """(T, C) softmax outputs of the sentences back to back, and their
+        (n + 1,) token offsets."""
+        enc = encode_tokens(list(token_seqs), self.config)
+        return forward_flat(self, enc.ids, enc.flags)[2], enc.offsets
+
     def sequence_distributions(self, token_seqs: Sequence[Sequence[str]]) -> list[np.ndarray]:
         """Per-sentence (L, C) softmax outputs."""
-        enc = encode_tokens(list(token_seqs), self.config)
-        probs = forward_flat(self, enc.ids, enc.flags)[2]
-        return [probs[a:b] for a, b in zip(enc.offsets[:-1], enc.offsets[1:])]
+        probs, offsets = self.flat_distributions(token_seqs)
+        return [probs[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 def _features(model: TaggerModel, ids: np.ndarray, flags: np.ndarray) -> np.ndarray:
@@ -192,19 +198,6 @@ def forward_flat(model: TaggerModel, ids: np.ndarray, flags: np.ndarray,
     h = np.tanh(x @ model.w1 + model.b1)
     probs = _softmax(h @ model.w2 + model.b2)
     return x, h, probs
-
-
-def soft_cross_entropy(predicted: np.ndarray, target: np.ndarray) -> float:
-    """Mean over tokens of -sum_j t_j log max(q_j, floor).
-
-    Hard-label loss is the special case where each target row is one-hot.
-    """
-    predicted = np.asarray(predicted, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if predicted.shape != target.shape:
-        raise ValueError(f"shape mismatch {predicted.shape} vs {target.shape}")
-    logq = np.log(np.maximum(predicted, LOG_FLOOR))
-    return float(-(target * logq).sum(axis=1).mean())
 
 
 @dataclass
@@ -323,23 +316,16 @@ class SoftDataset:
     """Sentences paired with per-token soft target distributions."""
 
     sentences: tuple[Sentence, ...]
-    dists: tuple[np.ndarray, ...]  # per sentence (L, C)
+    rows: np.ndarray  # (T, C): the sentences' target rows, back to back
     scheme: LabelScheme
-    known: tuple[EntityAnnotationSet, ...] | None = None  # kept spans, if any
 
     def __post_init__(self):
         object.__setattr__(self, "sentences", tuple(self.sentences))
-        object.__setattr__(self, "dists", tuple(self.dists))
-        if len(self.sentences) != len(self.dists):
-            raise ValueError(f"{len(self.sentences)} sentences, {len(self.dists)} targets")
-        c = self.scheme.tag_count
-        for i, (s, d) in enumerate(zip(self.sentences, self.dists)):
-            if d.shape != (len(s), c):
-                raise ValueError(f"sentence {i}: target shape {d.shape}, want {(len(s), c)}")
-            if (d < 0).any() or np.abs(d.sum(axis=1) - 1.0).max() > 1e-6:
-                raise ValueError(f"sentence {i}: targets are not distributions")
-        if self.known is not None and len(self.known) != len(self.sentences):
-            raise ValueError("known-span list length mismatch")
+        want = (sum(map(len, self.sentences)), self.scheme.tag_count)
+        if self.rows.shape != want:
+            raise ValueError(f"target shape {self.rows.shape}, want {want}")
+        if (self.rows < 0).any() or np.abs(self.rows.sum(axis=1) - 1.0).max(initial=0.0) > 1e-6:
+            raise ValueError("targets are not distributions")
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -380,7 +366,7 @@ def _fixed_targets(data, scheme: LabelScheme, config: TaggerConfig,
     if isinstance(data, SoftDataset):
         if data.scheme.categories != scheme.categories:
             raise ValueError("soft dataset scheme differs from model scheme")
-        rows = np.concatenate(data.dists) if data.dists else None  # fit rejects empty data
+        rows = data.rows
     elif isinstance(data, Corpus):
         if not data.fully_labelled:
             raise ValueError("training corpus needs hard labels")
@@ -409,7 +395,7 @@ def validation_f1(model: TaggerModel, val_enc: EncodedTokens,
     probs = forward_flat(model, val_enc.ids, val_enc.flags)[2]
     tags = np.argmax(probs, axis=1)
     pred = evaluation.bio_span_keys(tags, val_enc.offsets, model.scheme)
-    return evaluation.key_f1(pred, val_gold)
+    return evaluation.key_scores(pred, val_gold, model.scheme).f1
 
 
 class StageTable:

@@ -1,15 +1,17 @@
 """Tests for cross-fit soft-target estimation and its audit trail."""
 
+import copy
 from dataclasses import replace
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from partialner import bde
-from partialner.annotation import mask_entities
+from partialner.annotation import mask_entities, partial_from_labels
 from partialner.bde import (
     BdeConfig,
-    BdeOutput,
     FoldPartition,
     LineageRecord,
     estimate_base,
@@ -22,7 +24,7 @@ from partialner.bde import (
 from partialner.corpus import Corpus, Sentence, SynthConfig, generate_synthetic
 from partialner.evaluation import evaluate_model
 from partialner.rng import derive_seed
-from partialner.selftrain import SelfTrainConfig, run_method
+from partialner.selftrain import RunOutput, SelfTrainConfig, run_method
 from partialner.tagger import SoftDataset, TaggerConfig
 
 
@@ -48,9 +50,15 @@ def masked(splits):
 
 
 @pytest.fixture(scope="module")
-def small_run(splits, masked):
+def small_run(splits, masked, tmp_path_factory):
+    """A default run, and the soft targets and lineage record it wrote."""
     _, val = splits
-    return run_bde(masked, val, BdeConfig(selftrain=fast_selftrain()))
+    root = tmp_path_factory.mktemp("small_run")
+    soft_path, lineage_path = str(root / "soft.bin"), str(root / "lineage.csv")
+    out = run_bde(masked, val, BdeConfig(selftrain=fast_selftrain()),
+                  soft_path=soft_path, lineage_path=lineage_path)
+    return SimpleNamespace(out=out, soft=load_soft(soft_path, masked, val.scheme),
+                           lineage=LineageRecord.read_csv(lineage_path))
 
 
 class TestPartition:
@@ -144,15 +152,14 @@ class TestLineage:
 
 
 class TestSoftIO:
-    def test_roundtrip_is_bitwise(self, splits, masked, tmp_path, small_run):
+    def test_roundtrip_is_bitwise(self, splits, masked, tmp_path):
         _, val = splits
+        soft, _ = estimate_base(masked, val, BdeConfig(selftrain=fast_selftrain()))
         path = str(tmp_path / "soft.bin")
-        save_soft(small_run.soft, path)
+        save_soft(soft, path)
         back = load_soft(path, masked, val.scheme)
-        assert len(back) == len(small_run.soft)
-        for a, b in zip(back.dists, small_run.soft.dists):
-            np.testing.assert_array_equal(a, b)
-        assert back.known == small_run.soft.known
+        assert back.sentences == soft.sentences
+        np.testing.assert_array_equal(back.rows.view(np.int64), soft.rows.view(np.int64))
 
     def test_rejects_foreign_file(self, splits, masked, tmp_path):
         _, val = splits
@@ -185,29 +192,29 @@ class TestEstimateBase:
                          val, inner_cfg)
         redone = out.model.sequence_distributions(
             [masked[s].tokens for s in scored_ids])
+        offsets = np.cumsum([0, *map(len, masked)])
         for s, d in zip(scored_ids, redone):
-            np.testing.assert_array_equal(soft.dists[s], d)
+            np.testing.assert_array_equal(soft.rows[offsets[s]:offsets[s + 1]], d)
 
     def test_every_sentence_scored_once(self, splits, masked, small_run):
         small_run.lineage.verify()
-        assert len(small_run.soft) == len(masked)
-        for p, d in zip(masked, small_run.soft.dists):
-            assert d.shape[0] == len(p)
+        assert small_run.soft.sentences == tuple(p.sentence for p in masked)
+        assert small_run.soft.rows.shape == (sum(map(len, masked)),
+                                             splits[1].scheme.tag_count)
 
     def test_folds_produce_distinct_models(self, small_run):
-        # two disjoint training halves should not emit identical rows
         a = small_run.lineage.fold_scored_ids[0][0]
         b = small_run.lineage.fold_scored_ids[1][0]
-        assert small_run.soft.dists[a].shape[1] == small_run.soft.dists[b].shape[1]
         assert small_run.lineage.sentence_fold[a] != small_run.lineage.sentence_fold[b]
 
 
 class TestRunBde:
     def test_output_shape_and_consistency(self, splits, small_run):
         _, val = splits
-        assert isinstance(small_run, BdeOutput)
-        assert [t.stage for t in small_run.traces] == ["ner_fit"]
-        assert evaluate_model(small_run.model, val).f1 == pytest.approx(small_run.val_f1)
+        out = small_run.out
+        assert isinstance(out, RunOutput)
+        assert [t.stage for t in out.traces] == ["ner_fit"]
+        assert evaluate_model(out.model, val).f1 == pytest.approx(out.val_f1)
 
     def test_guided_final_stage(self, splits, masked):
         _, val = splits
@@ -219,22 +226,36 @@ class TestRunBde:
     def test_deterministic(self, splits, masked, small_run):
         _, val = splits
         again = run_bde(masked, val, BdeConfig(selftrain=fast_selftrain()))
-        assert again.val_f1 == small_run.val_f1
+        assert again.val_f1 == small_run.out.val_f1
         for name, arr in again.model.params().items():
-            np.testing.assert_array_equal(arr, small_run.model.params()[name])
+            np.testing.assert_array_equal(arr, small_run.out.model.params()[name])
 
-    def test_artifact_files(self, splits, masked, tmp_path):
+    def test_artifact_files(self, splits, masked, tmp_path, estimate_spy):
         _, val = splits
+        config = BdeConfig(selftrain=fast_selftrain())
+        soft, lineage = estimate_base(masked, val, config)
         soft_path = str(tmp_path / "soft.bin")
         lineage_path = str(tmp_path / "lineage.csv")
-        out = run_bde(masked, val, BdeConfig(selftrain=fast_selftrain()),
-                      soft_path=soft_path, lineage_path=lineage_path)
+        run_bde(masked, val, config, soft_path=soft_path, lineage_path=lineage_path)
+        assert len(estimate_spy) == 1
         back = LineageRecord.read_csv(lineage_path)
-        assert back == out.lineage
+        assert back == lineage
         back.verify()
         loaded = load_soft(soft_path, masked, val.scheme)
-        for a, b in zip(loaded.dists, out.soft.dists):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(loaded.rows.view(np.int64), soft.rows.view(np.int64))
+
+    def test_final_stage_is_run_method_on_the_soft_targets(self, splits, masked):
+        _, val = splits
+        config = BdeConfig(final_method="guided_bond", selftrain=fast_selftrain())
+        soft, _ = estimate_base(masked, val, config)
+        cfg = replace(config.selftrain, tagger=replace(config.selftrain.tagger,
+                                                       seed=derive_seed(config.seed, 2)))
+        want = run_method("guided_bond", masked, val, cfg, soft)
+        got = train_on_base(masked, soft, val, config)
+        assert got.val_f1 == want.val_f1
+        assert [t.val_f1 for t in got.traces] == [t.val_f1 for t in want.traces]
+        for name, arr in got.model.params().items():
+            np.testing.assert_array_equal(arr, want.model.params()[name])
 
 
 class TestTrainOnBase:
@@ -246,23 +267,24 @@ class TestTrainOnBase:
                           for _ in range(8))
         rows = np.zeros((3, c))
         rows[:, 0] = 1.0
-        soft = SoftDataset(sentences, [rows.copy() for _ in sentences], scheme,
-                           known=tuple([] for _ in sentences))
+        soft = SoftDataset(sentences, np.concatenate([rows] * len(sentences)), scheme)
+        partial = partial_from_labels(Corpus(sentences, scheme, "all-o"))
         val = Corpus((Sentence(("Anna", "met", "Bob"),
                                (scheme.b_index("PER"), 0, scheme.b_index("PER"))),),
                      scheme, "val")
         cfg = BdeConfig(selftrain=fast_selftrain())
-        model, val_f1, traces = train_on_base(soft, val, cfg)
-        assert val_f1 == pytest.approx(evaluate_model(model, val).f1)
-        assert traces[0].val_f1[traces[0].best_iteration] == pytest.approx(val_f1)
+        out = train_on_base(partial, soft, val, cfg)
+        assert out.val_f1 == pytest.approx(evaluate_model(out.model, val).f1)
+        assert out.traces[0].val_f1[out.traces[0].best_iteration] == pytest.approx(out.val_f1)
 
 
-def snapshot(out: BdeOutput, lineage_path: str) -> dict:
+def snapshot(out: RunOutput, soft_path: str, lineage_path: str) -> dict:
     """Every output of a run as exact bits."""
+    with open(soft_path, "rb") as fh:
+        soft_bin = fh.read()
     with open(lineage_path, encoding="utf-8") as fh:
         lineage_csv = fh.read()
-    return {"soft": [d.view(np.int64).copy() for d in out.soft.dists],
-            "known": out.soft.known,
+    return {"soft": soft_bin,
             "lineage": lineage_csv,
             "params": {k: v.view(np.int64).copy() for k, v in out.model.params().items()},
             "val_f1": out.val_f1.hex(),
@@ -271,13 +293,10 @@ def snapshot(out: BdeOutput, lineage_path: str) -> dict:
 
 
 def assert_same_bits(a: dict, b: dict) -> None:
-    assert len(a["soft"]) == len(b["soft"])
-    for x, y in zip(a["soft"], b["soft"]):
-        np.testing.assert_array_equal(x, y)
     assert a["params"].keys() == b["params"].keys()
     for name in a["params"]:
         np.testing.assert_array_equal(a["params"][name], b["params"][name])
-    for key in ("known", "lineage", "val_f1", "traces"):
+    for key in ("soft", "lineage", "val_f1", "traces"):
         assert a[key] == b[key], key
 
 
@@ -285,10 +304,11 @@ class TestEstimateHandover:
     FINALS = ("supervised", "guided_bond")
 
     def run(self, masked, val, final, path):
+        soft_path, lineage_path = f"{path}_soft.bin", f"{path}_lineage.csv"
         out = run_bde(masked, val, BdeConfig(final_method=final,
                                              selftrain=fast_selftrain()),
-                      lineage_path=path)
-        return out, snapshot(out, path)
+                      soft_path=soft_path, lineage_path=lineage_path)
+        return snapshot(out, soft_path, lineage_path)
 
     def test_pair_equals_two_fresh_runs(self, splits, masked, tmp_path,
                                         estimate_spy, monkeypatch):
@@ -296,17 +316,29 @@ class TestEstimateHandover:
         fresh = {}
         for final in self.FINALS:
             monkeypatch.setattr(bde, "_handover", bde._Handover())
-            fresh[final] = self.run(masked, val, final, str(tmp_path / f"fresh_{final}"))[1]
+            fresh[final] = self.run(masked, val, final, str(tmp_path / f"fresh_{final}"))
         assert len(estimate_spy) == 2
         monkeypatch.setattr(bde, "_handover", bde._Handover())
-        first, first_bits = self.run(masked, val, "supervised", str(tmp_path / "a"))
-        for d in first.soft.dists:   # the held estimate is a private copy
-            d.fill(0.5)
-        first.lineage.sentence_fold.reverse()
-        _, second_bits = self.run(masked, val, "guided_bond", str(tmp_path / "b"))
+        first_bits = self.run(masked, val, "supervised", str(tmp_path / "a"))
+        second_bits = self.run(masked, val, "guided_bond", str(tmp_path / "b"))
         assert len(estimate_spy) == 3
         assert_same_bits(first_bits, fresh["supervised"])
         assert_same_bits(second_bits, fresh["guided_bond"])
+
+    def test_held_estimate_is_a_private_copy(self, splits, masked, tmp_path,
+                                             estimate_spy):
+        _, val = splits
+        config = BdeConfig(selftrain=fast_selftrain())
+        soft, lineage = estimate_base(masked, val, config)
+        want_rows, want_lineage = soft.rows.copy(), copy.deepcopy(lineage)
+        soft.rows.fill(0.5)
+        lineage.sentence_fold.reverse()
+        soft_path, lineage_path = str(tmp_path / "soft.bin"), str(tmp_path / "lineage.csv")
+        run_bde(masked, val, replace(config, final_method="guided_bond"),
+                soft_path=soft_path, lineage_path=lineage_path)
+        assert len(estimate_spy) == 1
+        assert LineageRecord.read_csv(lineage_path) == want_lineage
+        np.testing.assert_array_equal(load_soft(soft_path, masked, val.scheme).rows, want_rows)
 
     def test_handed_over_once_and_verified(self, splits, masked, estimate_spy,
                                            monkeypatch):

@@ -1,6 +1,7 @@
 """End-to-end command line tests, all driven through cli.main in process."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -166,6 +167,8 @@ class TestTrainAndEval:
         trace = (trained / "trace_ner_fit.csv").read_text().splitlines()
         assert trace[0] == "stage,iteration,val_f1,teacher_refresh"
         assert len(trace) >= 2
+        assert not (trained / "soft.bin").exists()  # audit files are bde:-only
+        assert not (trained / "lineage.csv").exists()
 
     def test_seed_flag_sets_the_model_seed(self, workdir, tmp_path, capsys):
         rc = cli.main(["train", "--method", "supervised",
@@ -188,6 +191,25 @@ class TestTrainAndEval:
         assert (out / "checkpoint.npz").exists()
         assert (out / "soft.bin").exists()
         LineageRecord.read_csv(str(out / "lineage.csv")).verify()
+
+    def test_bde_audit_files_are_pinned(self, workdir, capsys):
+        """soft.bin and lineage.csv of a guided cross-fit run, byte for byte."""
+        out = workdir / "run_bde_gb_gb"
+        rc = cli.main(["train", "--method", "bde:guided_bond+guided_bond",
+                       "--train", str(workdir / "masked.conll"),
+                       "--dev", str(workdir / "dev.conll"),
+                       "--config", str(workdir / "train_config.json"),
+                       "--seed", "0", "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+
+        def digest(name):
+            return hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+        assert digest("soft.bin") == \
+            "0d721eed8ad8e7be766d44abd37de774401747134ffb92c2749f1819d30b3333"
+        assert digest("lineage.csv") == \
+            "ed15e5d717956e98e6b4304af01da018fd628ef3e915f10716abeb508f0a07d4"
 
     def test_eval_stdout(self, workdir, trained, capsys):
         rc = cli.main(["eval", str(trained / "checkpoint.npz"),
@@ -275,6 +297,27 @@ class TestExperimentAndReport:
         _, out_dir = experiment_run
         assert cli.main(["report", str(out_dir)]) == 0
         assert "report OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tamper", ["overlap", "unreadable"])
+    def test_report_rejects_tampered_lineage(self, workdir, tmp_path, capsys, tamper):
+        cfg = experiment_config(workdir, tmp_path / "bde")
+        cfg.update(seeds=[0], methods=["bde:supervised+supervised"])
+        cfg_path = tmp_path / "bde.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+        assert cli.main(["report", str(tmp_path / "bde")]) == 0
+        capsys.readouterr()
+        (path,) = (tmp_path / "bde" / "lineage").iterdir()
+        record = LineageRecord.read_csv(str(path))
+        if tamper == "overlap":  # fold 0 also trains on a sentence it scores
+            record.fold_train_ids[0].append(record.fold_scored_ids[0][0])
+            record.write_csv(str(path))
+        else:
+            path.write_text("record,fold,sentence_ids\nscored,0,x\n")
+        rc = cli.main(["report", str(tmp_path / "bde")])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert f"MISMATCH lineage/{path.name}: " in out
 
     def test_report_rejects_tampered_summary(self, experiment_run, tmp_path, capsys):
         _, out_dir = experiment_run

@@ -18,7 +18,7 @@ class TestLabelScheme:
         assert scheme.b_index("ORG") == 5 and scheme.i_index("ORG") == 6
 
     def test_tag_names_roundtrip(self, scheme):
-        names = scheme.tag_names()
+        names = tuple(scheme.tag_name(i) for i in range(scheme.tag_count))
         assert names == ("O", "B-PER", "I-PER", "B-LOC", "I-LOC", "B-ORG", "I-ORG")
         for i, n in enumerate(names):
             assert scheme.tag_index(n) == i
@@ -49,9 +49,10 @@ class TestEntitySpan:
         with pytest.raises(ValueError):
             EntitySpan(-1, 2, "PER")
 
-    def test_covers_and_order(self):
-        s = EntitySpan(1, 3, "LOC")
-        assert s.covers(1) and s.covers(2) and not s.covers(3)
+    def test_covers_and_order(self, scheme):
+        # half-open: the span covers tokens 1 and 2, not 3
+        labels = encode_bio([EntitySpan(1, 3, "LOC")], 4, scheme)
+        assert labels == [0, scheme.b_index("LOC"), scheme.i_index("LOC"), 0]
         assert EntitySpan(0, 1, "PER") < EntitySpan(1, 2, "PER")
 
 

@@ -1,13 +1,13 @@
-"""Tests for exact-match span scoring and model prediction."""
+"""Tests for exact-match span scoring and model evaluation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from partialner.corpus import EntitySpan, LabelScheme, decode_bio
-from partialner.evaluation import (EvalResult, bio_span_keys, evaluate_model, key_f1,
-                                   predict, span_f1, span_keys)
-from partialner.tagger import TaggerConfig, TaggerModel
+from partialner.corpus import Corpus, EntitySpan, LabelScheme, decode_bio
+from partialner.evaluation import (EvalResult, bio_span_keys, evaluate_model, key_scores,
+                                   span_f1, span_keys)
+from partialner.tagger import TaggerConfig, TaggerModel, train
 
 
 def prf(matches, predicted, gold):
@@ -148,32 +148,73 @@ def zeroed_model(scheme):
     return model
 
 
+def reference_evaluation(model, corpus, one_by_one=False):
+    """`span_f1` over per-sentence `decode_bio` of the argmax tags.
+
+    With `one_by_one`, each sentence gets its own forward pass, so batching
+    cannot mask a decode error (batched matmuls may round differently, which
+    could only move an exact tie).
+    """
+    seqs = [s.tokens for s in corpus.sentences]
+    dists = ([model.sequence_distributions([t])[0] for t in seqs] if one_by_one
+             else model.sequence_distributions(seqs))
+    pred = [decode_bio(np.argmax(d, axis=1).tolist(), model.scheme) for d in dists]
+    return span_f1(pred, corpus.gold_spans())
+
+
+def small_model(scheme, seed):
+    return TaggerModel.init(
+        TaggerConfig(embed_dim=4, window=1, hidden_dim=4, hash_buckets=64, seed=seed), scheme)
+
+
 class TestPredict:
+    """`evaluate_model` against the per-sentence reference, every field."""
+
     def test_uniform_distribution_decodes_to_o(self, scheme, make_sentence):
         model = zeroed_model(scheme)
-        sents = [make_sentence("Anna met Bob"), make_sentence("Paris")]
-        assert predict(model, sents) == [[], []]
+        corpus = Corpus((make_sentence("Anna met Bob", PER=[(0, 1), (2, 3)]),
+                         make_sentence("Paris", LOC=[(0, 1)])), scheme, "uniform")
+        res = evaluate_model(model, corpus)
+        assert res.predicted_count == 0 and res.gold_count == 3
+        assert res == reference_evaluation(model, corpus)
 
     def test_matches_manual_argmax_decode(self, scheme, make_sentence):
-        model = TaggerModel.init(
-            TaggerConfig(embed_dim=4, window=1, hidden_dim=4, hash_buckets=64, seed=2),
-            scheme)
-        sents = [make_sentence("Anna met Bob in Paris"), make_sentence("Orion Labs opened")]
-        got = predict(model, sents)
-        # one sentence per forward pass, so batching cannot mask a decode error
-        want = [decode_bio(np.argmax(model.sequence_distributions([s.tokens])[0],
-                                     axis=1).tolist(), scheme)
-                for s in sents]
-        assert got == want
+        model = small_model(scheme, seed=2)
+        corpus = Corpus((make_sentence("Anna met Bob in Paris", PER=[(0, 1), (2, 3)]),
+                         make_sentence("Orion Labs opened", ORG=[(0, 2)])), scheme, "hand")
+        assert evaluate_model(model, corpus) == \
+            reference_evaluation(model, corpus, one_by_one=True)
 
     def test_evaluate_model_composes_predict_and_score(self, scheme, tiny_corpus):
-        model = TaggerModel.init(
-            TaggerConfig(embed_dim=4, window=1, hidden_dim=4, hash_buckets=64, seed=5),
-            scheme)
+        model = small_model(scheme, seed=5)
         res = evaluate_model(model, tiny_corpus)
-        manual = span_f1(predict(model, tiny_corpus.sentences), tiny_corpus.gold_spans())
-        assert res == manual
+        assert res == reference_evaluation(model, tiny_corpus)
         assert res.gold_count == tiny_corpus.total_entities()
+
+    def test_trained_model(self, small_splits):
+        trn, dev, test = small_splits
+        cfg = TaggerConfig(embed_dim=8, window=1, hidden_dim=12, hash_buckets=1024,
+                           learning_rate=0.3, max_epochs=3, patience=3, seed=1)
+        model, trace = train(TaggerModel.init(cfg, trn.scheme), trn, dev, cfg)
+        assert trace.best_iteration > 0
+        res = evaluate_model(model, test)
+        assert res.match_count > 0
+        assert res == reference_evaluation(model, test)
+
+    def test_category_without_gold_spans(self, scheme, make_sentence):
+        model = zeroed_model(scheme)
+        model.b2[scheme.b_index("ORG")] = 1.0  # every token opens an ORG span
+        corpus = Corpus((make_sentence("Anna met Bob", PER=[(0, 1)]),
+                         make_sentence("Paris", PER=[(0, 1)])), scheme, "no-org")
+        res = evaluate_model(model, corpus)
+        assert res.category_counts == {"ORG": (0, 4, 0), "PER": (0, 0, 2)}
+        assert res == reference_evaluation(model, corpus)
+
+    def test_empty_corpus(self, scheme):
+        empty = Corpus((), scheme, "empty")
+        res = evaluate_model(small_model(scheme, seed=0), empty)
+        assert res == span_f1([], []) == reference_evaluation(small_model(scheme, 0), empty)
+        assert res.f1 == 0.0 and res.per_category == {}
 
 
 SCHEME = LabelScheme(("PER", "LOC", "ORG"))
@@ -223,15 +264,17 @@ class TestFlatSpanKeys:
                               np.sort(reference_keys(sentences)))
 
     @given(tag_sentences_st, st.randoms(use_true_random=False))
-    def test_key_f1_equals_span_f1(self, gold_tags, random):
+    def test_key_scores_equal_span_f1(self, gold_tags, random):
         # mostly the gold tags, so predictions match often but not always
         pred_tags = [[t if random.random() < 0.7 else random.randrange(SCHEME.tag_count)
                       for t in g] for g in gold_tags]
         pred, offsets = flat(pred_tags)
         gold = [decode_bio(t, SCHEME) for t in gold_tags]
-        want = span_f1([decode_bio(t, SCHEME) for t in pred_tags], gold).f1
-        got = key_f1(bio_span_keys(pred, offsets, SCHEME), span_keys(gold, offsets, SCHEME))
-        assert got.hex() == want.hex()
+        want = span_f1([decode_bio(t, SCHEME) for t in pred_tags], gold)
+        got = key_scores(bio_span_keys(pred, offsets, SCHEME),
+                         span_keys(gold, offsets, SCHEME), SCHEME)
+        assert got == want
+        assert got.f1.hex() == want.f1.hex()
 
     @given(sentence_pairs_st)
     def test_span_keys_score_like_span_f1(self, pairs):
@@ -239,5 +282,23 @@ class TestFlatSpanKeys:
         offsets = np.arange(len(pairs) + 1) * 20
         pred = [p for p, _ in pairs]
         gold = [g for _, g in pairs]
-        got = key_f1(span_keys(pred, offsets, SCHEME), span_keys(gold, offsets, SCHEME))
-        assert got.hex() == span_f1(pred, gold).f1.hex()
+        got = key_scores(span_keys(pred, offsets, SCHEME), span_keys(gold, offsets, SCHEME),
+                         SCHEME)
+        assert got == span_f1(pred, gold)
+
+    @pytest.mark.parametrize("pred_tags,gold_tags", [
+        ([[0, 0], [0]], [[0, 0], [0]]),           # no spans at all
+        ([[5, 6], [1]], [[1, 2], [1]]),           # ORG predicted, never gold
+        ([[0, 0], [0]], [[3, 4], [0]]),           # LOC gold, never predicted
+    ], ids=["no-spans", "predicted-only-category", "gold-only-category"])
+    def test_key_scores_hand_cases(self, pred_tags, gold_tags):
+        pred, offsets = flat(pred_tags)
+        gold = [decode_bio(t, SCHEME) for t in gold_tags]
+        want = span_f1([decode_bio(t, SCHEME) for t in pred_tags], gold)
+        assert key_scores(bio_span_keys(pred, offsets, SCHEME),
+                          span_keys(gold, offsets, SCHEME), SCHEME) == want
+
+    def test_key_scores_of_an_empty_corpus(self):
+        none = bio_span_keys(np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.intp), SCHEME)
+        assert key_scores(none, span_keys([], np.zeros(1, dtype=np.intp), SCHEME),
+                          SCHEME) == span_f1([], [])

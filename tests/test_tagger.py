@@ -13,6 +13,7 @@ from partialner.corpus import (Corpus, LabelScheme, Sentence, SynthConfig, decod
 from partialner.evaluation import evaluate_model, span_f1
 from partialner.tagger import (
     BOUNDARY_TOKEN,
+    LOG_FLOOR,
     _bucket,
     _token_flags,
     EncodedTokens,
@@ -29,11 +30,23 @@ from partialner.tagger import (
     save_checkpoint,
     sentence_weights,
     sgd_step,
-    soft_cross_entropy,
     train,
     validation_f1,
     validation_set,
 )
+
+
+def soft_cross_entropy(predicted: np.ndarray, target: np.ndarray) -> float:
+    """Reference loss: mean over tokens of -sum_j t_j log max(q_j, floor).
+
+    Hard-label loss is the special case where each target row is one-hot.
+    """
+    predicted = np.asarray(predicted, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if predicted.shape != target.shape:
+        raise ValueError(f"shape mismatch {predicted.shape} vs {target.shape}")
+    logq = np.log(np.maximum(predicted, LOG_FLOOR))
+    return float(-(target * logq).sum(axis=1).mean())
 
 
 def small_config(**overrides) -> TaggerConfig:
@@ -459,8 +472,7 @@ class TestTrain:
         subset = Corpus(trn.sentences[:40], scheme, "subset")
         soft = SoftDataset(
             subset.sentences,
-            [one_hot_rows(s.labels, scheme.tag_count).astype(float)
-             for s in subset.sentences],
+            one_hot_rows([l for s in subset.sentences for l in s.labels], scheme.tag_count),
             scheme)
         cfg = TaggerConfig(embed_dim=8, window=1, hidden_dim=12,
                            hash_buckets=1024, max_epochs=3, patience=3, seed=2)
@@ -485,7 +497,7 @@ class TestTrain:
     def test_scheme_mismatch_rejected(self, scheme):
         other = LabelScheme(("PER",))
         sent = Sentence(("Anna",), (other.b_index("PER"),))
-        soft = SoftDataset((sent,), [np.eye(other.tag_count)[:1]], other)
+        soft = SoftDataset((sent,), np.eye(other.tag_count)[:1], other)
         trn, val = unlearnable_splits(scheme)
         cfg = small_config()
         with pytest.raises(ValueError, match="scheme"):
@@ -531,30 +543,37 @@ class TestStageTable:
 
 class TestSoftDataset:
     def test_length_mismatch(self, scheme, make_sentence):
-        with pytest.raises(ValueError):
-            SoftDataset((make_sentence("a b"),), [], scheme)
+        with pytest.raises(ValueError, match="shape"):
+            SoftDataset((make_sentence("a b"),), np.zeros((0, scheme.tag_count)), scheme)
 
     def test_shape_mismatch(self, scheme, make_sentence):
         bad = np.ones((3, scheme.tag_count)) / scheme.tag_count
         with pytest.raises(ValueError, match="shape"):
-            SoftDataset((make_sentence("a b"),), [bad], scheme)
+            SoftDataset((make_sentence("a b"),), bad, scheme)
 
     def test_rows_must_be_distributions(self, scheme, make_sentence):
         bad = np.full((2, scheme.tag_count), 0.5)
         with pytest.raises(ValueError, match="distributions"):
-            SoftDataset((make_sentence("a b"),), [bad], scheme)
+            SoftDataset((make_sentence("a b"),), bad, scheme)
 
     def test_negative_mass_rejected(self, scheme, make_sentence):
         bad = np.zeros((1, scheme.tag_count))
         bad[0, 0] = 1.5
         bad[0, 1] = -0.5
         with pytest.raises(ValueError, match="distributions"):
-            SoftDataset((make_sentence("a"),), [bad], scheme)
+            SoftDataset((make_sentence("a"),), bad, scheme)
 
-    def test_known_length_checked(self, scheme, make_sentence):
-        rows = np.eye(scheme.tag_count)[:1]
-        with pytest.raises(ValueError, match="known"):
-            SoftDataset((make_sentence("a"),), [rows], scheme, known=())
+    def test_rows_cover_every_sentence(self, scheme, make_sentence):
+        rows = np.eye(scheme.tag_count)[:3]
+        sentences = (make_sentence("a b"), make_sentence("c"))
+        assert len(SoftDataset(sentences, rows, scheme)) == 2
+        with pytest.raises(ValueError, match="shape"):
+            SoftDataset(sentences + (make_sentence("d"),), rows, scheme)
+        with pytest.raises(ValueError, match="distributions"):
+            SoftDataset(sentences, np.concatenate([rows[:2], rows[2:] * 0.5]), scheme)
+
+    def test_no_sentences(self, scheme):
+        assert len(SoftDataset((), np.zeros((0, scheme.tag_count)), scheme)) == 0
 
 
 class TestReportCsv:
