@@ -2,7 +2,7 @@
 """Run the benchmark experiment matrix.
 
 Thin wrapper over `partialner experiment` that defaults to the full
-benchmark config.  Use --smoke for a two-minute sanity matrix instead.
+benchmark config.  Use --smoke for a sanity matrix of a few seconds instead.
 The full matrix is embarrassingly parallel across cells; the default
 worker count is one per core.  Speed is measured by perfbench/, not here.
 """
@@ -19,7 +19,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true",
-                    help="run the small sanity matrix instead of the benchmark")
+                    help="run the small sanity matrix (a few seconds) instead of the benchmark")
     ap.add_argument("--config", help="explicit experiment config (overrides --smoke)")
     ap.add_argument("--out", help="run directory (default: out_dir from the config)")
     args = ap.parse_args()

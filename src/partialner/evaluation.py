@@ -6,12 +6,13 @@ breakdown; zero denominators score 0 rather than NaN.
 
 `span_f1` over `decode_bio` spans is the reference scorer.  Validation and
 `evaluate_model` use the flat form: spans of sentence-concatenated tags as
-int64 keys (`bio_span_keys`, `span_keys`) scored by `key_scores`, which
-gives the same result bit for bit.
+int64 keys (`bio_span_keys`, and `gold_keys` for a corpus's gold spans)
+scored by `key_scores`, which gives the same result bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -106,15 +107,16 @@ def bio_span_keys(tags: np.ndarray, offsets: np.ndarray,
     return _keys(starts, np.flatnonzero(closes) + 1, cat[starts], total, scheme)
 
 
-def span_keys(spans: Sequence[Iterable[EntitySpan]], offsets: np.ndarray,
-              scheme: LabelScheme) -> np.ndarray:
-    """`bio_span_keys` for per-sentence span lists, such as gold spans."""
-    pos = {c: i for i, c in enumerate(scheme.categories)}
-    flat = [(base + s.start, base + s.end, pos[s.category])
-            for base, sentence in zip(offsets[:-1].tolist(), spans)
-            for s in set(sentence)]
-    starts, ends, cats = np.array(flat, dtype=np.int64).reshape(-1, 3).T
-    return _keys(starts, ends, cats, int(offsets[-1]), scheme)
+def gold_keys(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """`bio_span_keys` of a fully labelled corpus's hard labels, back to
+    back, and the corpus's (n + 1,) sentence offsets."""
+    if not corpus.fully_labelled:
+        raise ValueError(f"corpus {corpus.name!r} has unlabelled sentences")
+    offsets = np.zeros(len(corpus) + 1, dtype=np.intp)
+    np.cumsum([len(s) for s in corpus.sentences], out=offsets[1:])
+    labels = np.fromiter(chain.from_iterable(s.labels for s in corpus.sentences),
+                         dtype=np.intp, count=int(offsets[-1]))
+    return bio_span_keys(labels, offsets, corpus.scheme), offsets
 
 
 def key_scores(predicted: np.ndarray, gold: np.ndarray, scheme: LabelScheme) -> EvalResult:
@@ -133,7 +135,8 @@ def evaluate_model(model, corpus: Corpus) -> EvalResult:
     Ties break to the lowest tag index, so an exactly uniform distribution
     yields O.
     """
+    if corpus.scheme.categories != model.scheme.categories:
+        raise ValueError("corpus scheme differs from model scheme")
     probs, offsets = model.flat_distributions([s.tokens for s in corpus.sentences])
     pred = bio_span_keys(np.argmax(probs, axis=1), offsets, model.scheme)
-    return key_scores(pred, span_keys(corpus.gold_spans(), offsets, model.scheme),
-                      model.scheme)
+    return key_scores(pred, gold_keys(corpus)[0], model.scheme)

@@ -22,11 +22,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import bde, selftrain, tagger
-from .annotation import (PartiallyAnnotatedSentence, mask_entities,
-                         partial_from_kept, read_kept_sidecar, write_kept_sidecar)
+from .annotation import (PartiallyAnnotatedSentence, mask_entities, partial_from_kept,
+                         read_kept_sidecar, to_corpus, write_kept_sidecar)
 from .corpus import (ConfigError, Corpus, SynthConfig, generate_synthetic,
                      infer_scheme, parse_conll, serialize_conll)
-from .evaluation import evaluate_model
+from .evaluation import evaluate_model, gold_keys
 from .rng import derive_seed
 
 RESULT_COLUMNS = ("method", "fraction", "seed", "precision", "recall", "f1",
@@ -192,14 +192,25 @@ def masked_partial(train: Corpus, fraction: float, mask_seed: int, cache_dir: st
     """Partial training corpus for one fraction, cached on disk as a sidecar.
 
     The cache key is (corpus hash, fraction, mask seed); dev/test corpora
-    are never masked.
+    are never masked.  A cached sidecar is used only if its rows are
+    distinct gold spans of their sentences and there are as many as
+    `mask_entities` keeps; otherwise a ValueError names the file.
     """
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(
         cache_dir, f"mask_{_corpus_hash(train)}_f{fraction!r}_s{mask_seed}.csv")
     if os.path.exists(path):
-        kept = read_kept_sidecar(path)
-        return partial_from_kept(train, kept), len(kept)
+        try:
+            kept = read_kept_sidecar(path)
+            partial = partial_from_kept(train, kept)  # a repeated row overlaps itself
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        gold = gold_keys(train)[0]
+        want = round(fraction * gold.size)
+        if len(kept) != want or not np.isin(
+                gold_keys(to_corpus(partial, train.scheme))[0], gold).all():
+            raise ValueError(f"{path}: not {want} distinct gold spans of their sentences")
+        return partial, len(kept)
     partial, kept = mask_entities(train, fraction, mask_seed)
     tmp = f"{path}.tmp.{os.getpid()}"
     write_kept_sidecar(tmp, kept)

@@ -180,23 +180,27 @@ class TaggerModel:
 
 
 def _features(model: TaggerModel, ids: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    gathered = model.embed[ids]                          # (T, slots, embed_dim)
-    x = np.concatenate([gathered, flags], axis=2)        # (T, slots, embed_dim + 2)
+    """(T, input_dim) inputs: each slot's embedding row, then its two flags."""
+    d = model.config.embed_dim
+    x = np.empty(ids.shape + (d + 2,))
+    x[:, :, :d] = np.take(model.embed, ids, axis=0)
+    x[:, :, d:] = flags
     return x.reshape(ids.shape[0], model.config.input_dim)
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def forward_flat(model: TaggerModel, ids: np.ndarray, flags: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(features, hidden, probabilities) for a flat token batch."""
+    """(features, hidden, probabilities) for a flat token batch, each a
+    fresh array the caller may overwrite."""
     x = _features(model, ids, flags)
-    h = np.tanh(x @ model.w1 + model.b1)
-    probs = _softmax(h @ model.w2 + model.b2)
+    h = x @ model.w1
+    h += model.b1
+    np.tanh(h, out=h)
+    probs = h @ model.w2
+    probs += model.b2
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
     return x, h, probs
 
 
@@ -218,36 +222,49 @@ class Gradients:
         return out
 
 
-def flat_loss(model: TaggerModel, ids: np.ndarray, flags: np.ndarray,
-              targets: np.ndarray, weights: np.ndarray) -> float:
-    probs = forward_flat(model, ids, flags)[2]
-    logq = np.log(np.maximum(probs, LOG_FLOOR))
-    return float(-((targets * logq).sum(axis=1) * weights).sum())
+def _loss(probs: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> float:
+    logq = np.maximum(probs, LOG_FLOOR)
+    np.log(logq, out=logq)
+    logq *= targets
+    per_token = logq.sum(axis=1)
+    per_token *= weights
+    return float(-per_token.sum())
+
+
+def _embed_grads(ids: np.ndarray, dx: np.ndarray, embed_dim: int,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique ids and their embedding-gradient rows: bin u * width + j
+    of one bincount over all of `dx` sums column j of the u-th id's slots
+    (flag columns included, then dropped) from 0.0 in occurrence order, as
+    np.add.at would, so the rows equal the unbuffered scatter bit for bit."""
+    present = np.bincount(ids.reshape(-1)) > 0
+    uniq = np.flatnonzero(present)
+    width = embed_dim + 2
+    bins = np.take(np.arange(uniq.size * width).reshape(uniq.size, width),
+                   (np.cumsum(present) - 1)[ids], axis=0)  # (T, slots, width)
+    rows = np.bincount(bins.reshape(-1), weights=dx.reshape(-1))
+    return uniq, rows.reshape(uniq.size, width)[:, :embed_dim]
 
 
 def flat_loss_and_grads(model: TaggerModel, ids: np.ndarray, flags: np.ndarray,
                         targets: np.ndarray, weights: np.ndarray,
                         ) -> tuple[float, Gradients]:
-    """Loss and analytic gradients for per-token-weighted cross entropy."""
+    """Loss and analytic gradients for per-token-weighted cross entropy; the
+    backward pass overwrites the spent probabilities and h in place."""
     x, h, probs = forward_flat(model, ids, flags)
-    logq = np.log(np.maximum(probs, LOG_FLOOR))
-    loss = float(-((targets * logq).sum(axis=1) * weights).sum())
-    dlogits = (probs - targets) * weights[:, None]
+    loss = _loss(probs, targets, weights)
+    dlogits = np.subtract(probs, targets, out=probs)
+    dlogits *= weights[:, None]
     gw2 = h.T @ dlogits
     gb2 = dlogits.sum(axis=0)
-    dpre = (dlogits @ model.w2.T) * (1.0 - h * h)
+    dpre = dlogits @ model.w2.T
+    np.multiply(h, h, out=h)
+    np.subtract(1.0, h, out=h)
+    dpre *= h
     gw1 = x.T @ dpre
     gb1 = dpre.sum(axis=0)
-    dx = dpre @ model.w1.T
-    cfg = model.config
-    dslot = dx.reshape(-1, cfg.slots, cfg.embed_dim + 2)[:, :, :cfg.embed_dim]
-    uniq, inverse = np.unique(ids.reshape(-1), return_inverse=True)
-    # bincount sums each bin from 0.0 in occurrence order, as np.add.at
-    # would, so the rows are bit-identical to the unbuffered scatter
-    d = cfg.embed_dim
-    bins = (inverse[:, None] * d + np.arange(d)).reshape(-1)
-    rows = np.bincount(bins, weights=dslot.reshape(-1))
-    return loss, Gradients(gw1, gb1, gw2, gb2, uniq, rows.reshape(uniq.size, d))
+    uniq, rows = _embed_grads(ids, dpre @ model.w1.T, model.config.embed_dim)
+    return loss, Gradients(gw1, gb1, gw2, gb2, uniq, rows)
 
 
 def sentence_weights(lengths: np.ndarray) -> np.ndarray:
@@ -301,9 +318,9 @@ def finite_difference_check(model: TaggerModel, sentences, targets,
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + h
-            lp = flat_loss(model, enc.ids, enc.flags, t, w)
+            lp = _loss(forward_flat(model, enc.ids, enc.flags)[2], t, w)
             arr[idx] = orig - h
-            lm = flat_loss(model, enc.ids, enc.flags, t, w)
+            lm = _loss(forward_flat(model, enc.ids, enc.flags)[2], t, w)
             arr[idx] = orig
             fd = (lp - lm) / (2.0 * h)
             rel = abs(ga[idx] - fd) / max(abs(ga[idx]), abs(fd), 1e-3)
@@ -382,7 +399,7 @@ def validation_set(val: Corpus, config: TaggerConfig,
                    ) -> tuple[EncodedTokens, np.ndarray]:
     """Encoded validation tokens and their gold span keys, built once per stage."""
     val_enc = encode_tokens([s.tokens for s in val.sentences], config)
-    return val_enc, evaluation.span_keys(val.gold_spans(), val_enc.offsets, val.scheme)
+    return val_enc, evaluation.gold_keys(val)[0]
 
 
 def validation_f1(model: TaggerModel, val_enc: EncodedTokens,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from partialner.corpus import Corpus, EntitySpan, LabelScheme, decode_bio
-from partialner.evaluation import (EvalResult, bio_span_keys, evaluate_model, key_scores,
-                                   span_f1, span_keys)
+from partialner.corpus import Corpus, EntitySpan, LabelScheme, Sentence, decode_bio
+from partialner.evaluation import (EvalResult, _keys, bio_span_keys, evaluate_model,
+                                   gold_keys, key_scores, span_f1)
 from partialner.tagger import TaggerConfig, TaggerModel, train
 
 
@@ -216,6 +216,13 @@ class TestPredict:
         assert res == span_f1([], []) == reference_evaluation(small_model(scheme, 0), empty)
         assert res.f1 == 0.0 and res.per_category == {}
 
+    def test_scheme_mismatch_rejected(self, scheme, make_sentence):
+        # gold keys index the corpus's categories, predicted keys the model's
+        reordered = LabelScheme(tuple(reversed(scheme.categories)))
+        corpus = Corpus((make_sentence("Anna met Bob", PER=[(0, 1)]),), scheme, "hand")
+        with pytest.raises(ValueError, match="scheme"):
+            evaluate_model(small_model(reordered, seed=0), corpus)
+
 
 SCHEME = LabelScheme(("PER", "LOC", "ORG"))
 tag_sentences_st = st.lists(
@@ -227,6 +234,17 @@ def flat(sentences):
     """Concatenated tags and (n + 1,) offsets of per-sentence tag lists."""
     offsets = np.cumsum([0] + [len(t) for t in sentences])
     return np.concatenate([np.asarray(t, dtype=np.int64) for t in sentences]), offsets
+
+
+def span_keys(spans, offsets, scheme):
+    """Keys of per-sentence span lists, one key per distinct span: the
+    reference for `bio_span_keys` and `gold_keys`."""
+    pos = {c: i for i, c in enumerate(scheme.categories)}
+    flat = [(base + s.start, base + s.end, pos[s.category])
+            for base, sentence in zip(offsets[:-1].tolist(), spans)
+            for s in set(sentence)]
+    starts, ends, cats = np.array(flat, dtype=np.int64).reshape(-1, 3).T
+    return _keys(starts, ends, cats, int(offsets[-1]), scheme)
 
 
 def reference_keys(sentences):
@@ -262,6 +280,21 @@ class TestFlatSpanKeys:
         tags, offsets = flat(sentences)
         assert np.array_equal(np.sort(bio_span_keys(tags, offsets, SCHEME)),
                               np.sort(reference_keys(sentences)))
+
+    @given(tag_sentences_st)
+    def test_gold_keys_match_decode_bio(self, sentences):
+        # arbitrary tag indices: stray I- tags and category switches included
+        corpus = Corpus([Sentence(tuple("w" * len(t)), tuple(t)) for t in sentences], SCHEME)
+        keys, offsets = gold_keys(corpus)
+        np.testing.assert_array_equal(offsets, flat(sentences)[1])
+        want = span_keys(corpus.gold_spans(), offsets, SCHEME)
+        assert keys.dtype == want.dtype
+        np.testing.assert_array_equal(np.sort(keys), np.sort(want))
+
+    def test_gold_keys_need_labels(self):
+        corpus = Corpus([Sentence(("a", "b"))], SCHEME, "raw")
+        with pytest.raises(ValueError, match="raw"):
+            gold_keys(corpus)
 
     @given(tag_sentences_st, st.randoms(use_true_random=False))
     def test_key_scores_equal_span_f1(self, gold_tags, random):

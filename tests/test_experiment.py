@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from partialner import experiment
 from partialner.corpus import ConfigError, SynthConfig, generate_synthetic, serialize_conll
 from partialner.experiment import (
     DEFAULT_FRACTIONS,
@@ -190,17 +191,34 @@ class TestMaskedPartial:
         files = os.listdir(cache)
         assert len(files) == 1 and files[0].startswith("mask_")
 
-    def test_second_call_reads_the_sidecar(self, tmp_path, tiny_corpus):
+    def test_second_call_reads_the_sidecar(self, tmp_path, tiny_corpus, monkeypatch):
         cache = str(tmp_path / "masks")
         first, kept = masked_partial(tiny_corpus, 0.5, 11, cache)
+
+        def no_remask(*args):
+            raise AssertionError("a valid sidecar was masked again")
+        monkeypatch.setattr(experiment, "mask_entities", no_remask)
+        again, kept_again = masked_partial(tiny_corpus, 0.5, 11, cache)
+        assert kept_again == kept
+        assert [p.known.spans for p in again] == [p.known.spans for p in first]
+
+    @pytest.mark.parametrize("fault", ["truncated", "non-gold", "duplicated"])
+    def test_a_faulty_sidecar_is_refused(self, tmp_path, tiny_corpus, fault):
+        cache = str(tmp_path / "masks")
+        masked_partial(tiny_corpus, 0.5, 11, cache)
         sidecar = os.path.join(cache, os.listdir(cache)[0])
         with open(sidecar) as fh:
-            lines = fh.read().splitlines()
-        # truncate the cache; a fresh mask would restore the full count
+            header, *rows = fh.read().splitlines()
+        if fault == "truncated":
+            rows = rows[:len(rows) // 2]
+        elif fault == "non-gold":  # same count; sentence 2 holds no entity
+            rows = rows[:-1] + ["2,0,1,PER"]
+        else:  # same count, one row twice
+            rows = rows[:-1] + rows[:1]
         with open(sidecar, "w") as fh:
-            fh.write("\n".join(lines[:2]) + "\n")
-        again, kept_again = masked_partial(tiny_corpus, 0.5, 11, cache)
-        assert kept_again == 1 < kept
+            fh.write("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ValueError, match=os.path.basename(sidecar)):
+            masked_partial(tiny_corpus, 0.5, 11, cache)
 
     def test_distinct_keys_get_distinct_files(self, tmp_path, tiny_corpus):
         cache = str(tmp_path / "masks")

@@ -17,6 +17,7 @@ from partialner.tagger import (
     _bucket,
     _token_flags,
     EncodedTokens,
+    Gradients,
     SoftDataset,
     StageTable,
     TaggerConfig,
@@ -362,6 +363,113 @@ class TestEmbeddingScatter:
             assert boundary in got.embed_ids
             assert np.array_equal(got.embed_ids, uniq)
             assert np.array_equal(got.embed_rows.view(np.int64), rows.view(np.int64))
+
+
+def reference_forward_flat(model, ids, flags):
+    """The forward pass that `forward_flat` replaced: a fancy-index gather,
+    a concatenation and a fresh array for every temporary."""
+    gathered = model.embed[ids]
+    x = np.concatenate([gathered, flags], axis=2).reshape(ids.shape[0], model.config.input_dim)
+    h = np.tanh(x @ model.w1 + model.b1)
+    logits = h @ model.w2 + model.b2
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return x, h, e / e.sum(axis=1, keepdims=True)
+
+
+def reference_loss_and_grads(model, ids, flags, targets, weights):
+    """The backward pass that `flat_loss_and_grads` replaced: fresh
+    temporaries, np.unique over the ids and a bincount over the embedding
+    columns of the input gradient."""
+    x, h, probs = reference_forward_flat(model, ids, flags)
+    logq = np.log(np.maximum(probs, LOG_FLOOR))
+    loss = float(-((targets * logq).sum(axis=1) * weights).sum())
+    dlogits = (probs - targets) * weights[:, None]
+    gw2 = h.T @ dlogits
+    gb2 = dlogits.sum(axis=0)
+    dpre = (dlogits @ model.w2.T) * (1.0 - h * h)
+    gw1 = x.T @ dpre
+    gb1 = dpre.sum(axis=0)
+    dx = dpre @ model.w1.T
+    cfg = model.config
+    dslot = dx.reshape(-1, cfg.slots, cfg.embed_dim + 2)[:, :, :cfg.embed_dim]
+    uniq, inverse = np.unique(ids.reshape(-1), return_inverse=True)
+    d = cfg.embed_dim
+    bins = (inverse[:, None] * d + np.arange(d)).reshape(-1)
+    rows = np.bincount(bins, weights=dslot.reshape(-1))
+    return loss, Gradients(gw1, gb1, gw2, gb2, uniq, rows.reshape(uniq.size, d))
+
+
+def reference_sgd_step(model, grads, lr):
+    model.w1 -= lr * grads.w1
+    model.b1 -= lr * grads.b1
+    model.w2 -= lr * grads.w2
+    model.b2 -= lr * grads.b2
+    model.embed[grads.embed_ids] -= lr * grads.embed_rows
+
+
+def assert_same_bits(got, want, name):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype, name
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
+def step_batch(rng, tokens, total, tag_count):
+    """Sentences of `total` tokens drawn from `tokens`, weights with about a
+    fifth of the sentences at zero, and targets mixing soft and one-hot rows."""
+    lengths = []
+    while sum(lengths) < total:
+        lengths.append(int(min(rng.integers(1, 40), total - sum(lengths))))
+    seqs = [tuple(rng.choice(tokens, size=n)) for n in lengths]
+    lengths = np.asarray(lengths)
+    scale = np.where(rng.random(lengths.size) < 0.2, 0.0, 1.0 / lengths.size)
+    weights = np.repeat(scale / lengths, lengths)
+    targets = rng.dirichlet(np.ones(tag_count), size=total)
+    hard = rng.random(total) < 0.3
+    targets[hard] = one_hot_rows(rng.integers(0, targets.shape[1], size=hard.sum()),
+                                 targets.shape[1])
+    return seqs, weights, targets
+
+
+class TestStepMatchesReference:
+    """One SGD step gives the reference step's numbers bit for bit, on a
+    full-table model and on a stage's compact one."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return generate_synthetic(SynthConfig(n_sentences=120, seed=21))
+
+    @pytest.mark.parametrize("buckets", [1, 4, 1 << 16])
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    def test_bit_identical(self, scheme, corpus, window, buckets):
+        rng = np.random.default_rng(window * 100 + buckets)
+        tokens = sorted({t for s in corpus.sentences for t in s.tokens})
+        val = Corpus(corpus.sentences[:5], corpus.scheme, "val")
+        cfg = TaggerConfig(embed_dim=32, window=window, hidden_dim=64,
+                           hash_buckets=buckets, seed=window)
+        full = TaggerModel.init(cfg, scheme)
+        for total in (1, 2, 7, 199, 1000):
+            seqs, weights, targets = step_batch(rng, tokens, total, scheme.tag_count)
+            enc = encode_tokens(seqs, cfg)
+            table = StageTable(full, enc, val, cfg)
+            for model, e in ((full, enc), (table.work, table.enc)):
+                case = f"T={total} rows={model.embed.shape[0]}"
+                for got, want, name in zip(forward_flat(model, e.ids, e.flags),
+                                           reference_forward_flat(model, e.ids, e.flags),
+                                           ("x", "h", "probs")):
+                    assert_same_bits(got, want, f"{case} {name}")
+                loss, grads = flat_loss_and_grads(model, e.ids, e.flags, targets, weights)
+                ref_loss, ref = reference_loss_and_grads(model, e.ids, e.flags, targets, weights)
+                assert loss.hex() == ref_loss.hex(), case
+                assert np.array_equal(grads.embed_ids, ref.embed_ids), case
+                assert grads.embed_ids.dtype == ref.embed_ids.dtype, case
+                for name in ("w1", "b1", "w2", "b2", "embed_rows"):
+                    assert_same_bits(getattr(grads, name), getattr(ref, name), f"{case} {name}")
+                stepped, ref_stepped = model.copy(), model.copy()
+                sgd_step(stepped, grads, 0.05)
+                reference_sgd_step(ref_stepped, ref, 0.05)
+                for name, arr in stepped.params().items():
+                    assert_same_bits(arr, ref_stepped.params()[name], f"{case} step {name}")
 
 
 class TestValidationF1:
