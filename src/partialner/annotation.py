@@ -13,7 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, EntitySpan, LabelScheme, Sentence, decode_bio, encode_bio
+from .corpus import Corpus, EntitySpan, LabelScheme, Sentence, encode_bio
+from .evaluation import gold_spans
 from .rng import STREAM_MASK, seeded_rng
 
 
@@ -141,8 +142,7 @@ def mask_entities(corpus: Corpus, keep_fraction: float, seed: int,
     """
     if not 0.0 <= keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction {keep_fraction} outside [0, 1]")
-    spans_per_sentence = corpus.gold_spans()  # raises on unlabelled corpora
-    flat = [(i, s) for i, spans in enumerate(spans_per_sentence) for s in spans]
+    flat = gold_spans(corpus)  # raises on unlabelled corpora
     n_keep = round(keep_fraction * len(flat))
     rng = seeded_rng(seed, STREAM_MASK)
     positions = rng.choice(len(flat), size=n_keep, replace=False) if flat else []
@@ -169,16 +169,7 @@ def partial_from_kept(corpus: Corpus, kept: Iterable[tuple[int, EntitySpan]],
 
 def partial_from_labels(corpus: Corpus) -> list[PartiallyAnnotatedSentence]:
     """Treat every entity already tagged in `corpus` as a known annotation."""
-    partial = []
-    for sent in corpus.sentences:
-        if sent.labels is None:
-            raise ValueError("corpus has unlabelled sentences")
-        spans = decode_bio(sent.labels, corpus.scheme)
-        # re-encode so repaired tags and the known set agree exactly
-        labels = tuple(encode_bio(spans, len(sent), corpus.scheme))
-        partial.append(PartiallyAnnotatedSentence(
-            Sentence(sent.tokens, labels), EntityAnnotationSet(tuple(spans))))
-    return partial
+    return partial_from_kept(corpus, gold_spans(corpus))
 
 
 def to_corpus(partial: Sequence[PartiallyAnnotatedSentence], scheme: LabelScheme,

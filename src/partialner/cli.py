@@ -13,28 +13,23 @@ from dataclasses import replace
 
 from . import tagger
 from .annotation import mask_entities, partial_from_labels, to_corpus, write_kept_sidecar
-from .corpus import (ConfigError, ParseError, SynthConfig, generate_synthetic,
-                     infer_scheme, parse_conll, serialize_conll)
-from .evaluation import evaluate_model
+from .corpus import (ConfigError, ParseError, SynthConfig, generate_synthetic, read_conll,
+                     serialize_conll)
+from .evaluation import evaluate_model, gold_spans
 from .experiment import (ExperimentConfig, MethodSpec, run_experiment, train_spec,
                          verify_report)
 
 USAGE_ERROR = 2
 
 
-def _read_corpus(path: str, scheme=None, name: str = ""):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if scheme is None:
-        scheme = infer_scheme(text)
-    return parse_conll(text, scheme, name or os.path.basename(path))
-
-
 def _load_json(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return data
@@ -53,34 +48,27 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_mask(args: argparse.Namespace) -> int:
-    corpus = _read_corpus(args.corpus)
-    seed = args.seed if args.seed is not None else 0
-    partial, kept = mask_entities(corpus, args.fraction, seed)
+    if not 0.0 <= args.fraction <= 1.0:
+        raise ConfigError(f"--fraction {args.fraction!r} outside [0, 1]")
+    (corpus,) = read_conll([args.corpus])
+    partial, kept = mask_entities(corpus, args.fraction, args.seed)
     masked = to_corpus(partial, corpus.scheme, name=f"{corpus.name}-masked")
     _write_text(args.out, serialize_conll(masked))
     if args.kept_out:
         write_kept_sidecar(args.kept_out, kept)
-    total = corpus.total_entities()
-    print(f"kept {len(kept)} of {total} entities "
+    print(f"kept {len(kept)} of {len(gold_spans(corpus))} entities "
           f"(fraction {args.fraction!r}) -> {args.out}")
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     spec = MethodSpec.parse(args.method)
-    with open(args.train, "r", encoding="utf-8") as fh:
-        train_text = fh.read()
-    with open(args.dev, "r", encoding="utf-8") as fh:
-        dev_text = fh.read()
-    scheme = infer_scheme(train_text, dev_text)
-    train_c = parse_conll(train_text, scheme, os.path.basename(args.train))
-    dev_c = parse_conll(dev_text, scheme, os.path.basename(args.dev))
+    train_c, dev_c = read_conll([args.train, args.dev])
     exp = ExperimentConfig.from_dict(_load_json(args.config))
     seed = exp.tagger.seed if args.seed is None else args.seed
     os.makedirs(args.out, exist_ok=True)
     out = train_spec(spec, partial_from_labels(train_c), dev_c, exp, seed,
-                     os.path.join(args.out, "soft.bin"),
-                     os.path.join(args.out, "lineage.csv"))
+                     os.path.join(args.out, "soft.bin"), os.path.join(args.out, "lineage.csv"))
     tagger.save_checkpoint(out.model, os.path.join(args.out, "checkpoint.npz"))
     for trace in out.traces:
         trace.write_csv(os.path.join(args.out, f"trace_{trace.stage}.csv"))
@@ -90,7 +78,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model = tagger.load_checkpoint(args.checkpoint)
-    corpus = _read_corpus(args.corpus, scheme=model.scheme)
+    (corpus,) = read_conll([args.corpus], model.scheme)
     res = evaluate_model(model, corpus)
     rows = [("micro", res.precision, res.recall, res.f1)]
     if args.per_category:
@@ -124,14 +112,12 @@ def cmd_report(args: argparse.Namespace) -> int:
             print(f"MISMATCH {p}")
         return 1
     print(f"report OK: summary.md matches results.csv within {args.tolerance!r}; "
-          "every lineage file verifies")
+          "every lineage file verifies; every mask sidecar matches a fresh draw")
     return 0
 
 
 def _write_text(path: str, text: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -154,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="input CoNLL file")
     p.add_argument("--fraction", type=float, required=True,
                    help="fraction of entities to keep")
-    p.add_argument("--seed", type=int, help="mask seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="mask seed (default 0)")
     p.add_argument("--out", required=True, help="masked CoNLL output path")
     p.add_argument("--kept-out", help="optional sidecar CSV of kept spans")
     p.set_defaults(func=cmd_mask)
@@ -200,10 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (ConfigError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from .rng import STREAM_SYNTH, seeded_rng
@@ -292,6 +293,14 @@ def infer_scheme(*texts: str) -> LabelScheme:
     if not cats:
         raise ParseError("no entity tags found to infer a scheme from")
     return LabelScheme(tuple(sorted(cats)))
+
+
+def read_conll(paths: Sequence[str], scheme: LabelScheme | None = None) -> list[Corpus]:
+    """Corpora of CoNLL files, each named after its file, under `scheme` or
+    else the scheme inferred from all the files together."""
+    texts = [Path(p).read_text(encoding="utf-8") for p in paths]
+    scheme = scheme or infer_scheme(*texts)
+    return [parse_conll(t, scheme, Path(p).name) for t, p in zip(texts, paths)]
 
 
 # --- synthetic corpus generation -------------------------------------------

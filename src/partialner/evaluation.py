@@ -7,7 +7,8 @@ breakdown; zero denominators score 0 rather than NaN.
 `span_f1` over `decode_bio` spans is the reference scorer.  Validation and
 `evaluate_model` use the flat form: spans of sentence-concatenated tags as
 int64 keys (`bio_span_keys`, and `gold_keys` for a corpus's gold spans)
-scored by `key_scores`, which gives the same result bit for bit.
+scored by `key_scores`, which gives the same result bit for bit.  Masking
+reads a corpus's gold spans from the same keys (`gold_spans`).
 """
 from __future__ import annotations
 
@@ -51,8 +52,8 @@ def span_f1(predicted: Sequence[Iterable[EntitySpan]],
     if len(predicted) != len(gold):
         raise ValueError(f"{len(predicted)} predicted sentences vs {len(gold)} gold")
     counts: dict[str, list[int]] = {}  # category -> [matches, predicted, gold]
-    for pred_spans, gold_spans in zip(predicted, gold):
-        pset, gset = set(pred_spans), set(gold_spans)
+    for pred_sentence, gold_sentence in zip(predicted, gold):
+        pset, gset = set(pred_sentence), set(gold_sentence)
         for span in pset:
             c = counts.setdefault(span.category, [0, 0, 0])
             c[1] += 1
@@ -117,6 +118,18 @@ def gold_keys(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     labels = np.fromiter(chain.from_iterable(s.labels for s in corpus.sentences),
                          dtype=np.intp, count=int(offsets[-1]))
     return bio_span_keys(labels, offsets, corpus.scheme), offsets
+
+
+def gold_spans(corpus: Corpus) -> list[tuple[int, EntitySpan]]:
+    """The (sentence index, span) pairs of a fully labelled corpus's gold
+    spans, in corpus order, decoded from one `gold_keys` pass."""
+    keys, offsets = gold_keys(corpus)
+    span, cats = np.divmod(keys, len(corpus.scheme.categories))
+    starts, ends = np.divmod(span, int(offsets[-1]) + 1)
+    sentences = np.searchsorted(offsets, starts, side="right") - 1
+    base = offsets[sentences]
+    return [(i, EntitySpan(s, e, corpus.scheme.categories[c])) for i, s, e, c in zip(
+        sentences.tolist(), (starts - base).tolist(), (ends - base).tolist(), cats.tolist())]
 
 
 def key_scores(predicted: np.ndarray, gold: np.ndarray, scheme: LabelScheme) -> EvalResult:

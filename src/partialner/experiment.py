@@ -1,11 +1,11 @@
 """Experiment harness: the methods x fractions x seeds matrix.
 
-Entity masks are computed once per fraction from a dedicated mask seed and
-cached on disk, so every method and every model seed at a given fraction
-trains on the same partial corpus and comparisons are paired.  Each cell
-writes one CSV row; failures land in the `error` column and the harness
-keeps going.  Rerunning a config reproduces results.csv byte for byte except
-for the wall_ms column.
+Entity masks are drawn once per fraction from a dedicated mask seed, so
+every method and every model seed at a given fraction trains on the same
+partial corpus and comparisons are paired.  Each cell writes one CSV row;
+failures land in the `error` column and the harness keeps going.
+Rerunning a config reproduces results.csv byte for byte except for the
+wall_ms column.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,11 +23,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import bde, selftrain, tagger
+# partial_from_kept is unused here, but perfbench/probes.py wraps this binding
 from .annotation import (PartiallyAnnotatedSentence, mask_entities, partial_from_kept,
-                         read_kept_sidecar, to_corpus, write_kept_sidecar)
-from .corpus import (ConfigError, Corpus, SynthConfig, generate_synthetic,
-                     infer_scheme, parse_conll, serialize_conll)
-from .evaluation import evaluate_model, gold_keys
+                         read_kept_sidecar, write_kept_sidecar)
+from .corpus import (ConfigError, Corpus, SynthConfig, generate_synthetic, read_conll,
+                     serialize_conll)
+from .evaluation import evaluate_model
 from .rng import derive_seed
 
 RESULT_COLUMNS = ("method", "fraction", "seed", "precision", "recall", "f1",
@@ -164,13 +166,7 @@ def config_hash(config: ExperimentConfig) -> str:
 def load_corpora(config: ExperimentConfig) -> tuple[Corpus, Corpus, Corpus]:
     """Train/dev/test corpora from CoNLL files or the synthetic generator."""
     if config.train_path:
-        texts = []
-        for path in (config.train_path, config.dev_path, config.test_path):
-            with open(path, "r", encoding="utf-8") as fh:
-                texts.append(fh.read())
-        scheme = infer_scheme(*texts)
-        names = ("train", "dev", "test")
-        return tuple(parse_conll(t, scheme, n) for t, n in zip(texts, names))
+        return tuple(read_conll((config.train_path, config.dev_path, config.test_path)))
     synth = config.synth or SynthConfig()
     train = generate_synthetic(replace(
         synth, seed=derive_seed(synth.seed, 0), name="synthetic-train"))
@@ -183,34 +179,20 @@ def load_corpora(config: ExperimentConfig) -> tuple[Corpus, Corpus, Corpus]:
     return train, dev, test
 
 
-def _corpus_hash(corpus: Corpus) -> str:
-    return hashlib.sha256(serialize_conll(corpus).encode()).hexdigest()[:12]
+def _sidecar_name(train: Corpus, fraction: float, mask_seed: int) -> str:
+    corpus_hash = hashlib.sha256(serialize_conll(train).encode()).hexdigest()[:12]
+    return f"mask_{corpus_hash}_f{fraction!r}_s{mask_seed}.csv"
 
 
 def masked_partial(train: Corpus, fraction: float, mask_seed: int, cache_dir: str,
                    ) -> tuple[list[PartiallyAnnotatedSentence], int]:
-    """Partial training corpus for one fraction, cached on disk as a sidecar.
+    """Partial training corpus for one fraction, drawn by `mask_entities`.
 
-    The cache key is (corpus hash, fraction, mask seed); dev/test corpora
-    are never masked.  A cached sidecar is used only if its rows are
-    distinct gold spans of their sentences and there are as many as
-    `mask_entities` keeps; otherwise a ValueError names the file.
-    """
+    The kept spans go to `cache_dir` as an audit sidecar named by (corpus
+    hash, fraction, mask seed) that nothing reads back; `report` checks it
+    against a fresh draw.  dev/test corpora are never masked."""
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(
-        cache_dir, f"mask_{_corpus_hash(train)}_f{fraction!r}_s{mask_seed}.csv")
-    if os.path.exists(path):
-        try:
-            kept = read_kept_sidecar(path)
-            partial = partial_from_kept(train, kept)  # a repeated row overlaps itself
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        gold = gold_keys(train)[0]
-        want = round(fraction * gold.size)
-        if len(kept) != want or not np.isin(
-                gold_keys(to_corpus(partial, train.scheme))[0], gold).all():
-            raise ValueError(f"{path}: not {want} distinct gold spans of their sentences")
-        return partial, len(kept)
+    path = os.path.join(cache_dir, _sidecar_name(train, fraction, mask_seed))
     partial, kept = mask_entities(train, fraction, mask_seed)
     tmp = f"{path}.tmp.{os.getpid()}"
     write_kept_sidecar(tmp, kept)
@@ -306,12 +288,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> str:
     """Run the whole matrix; returns the results.csv path.
 
     Writes results.csv (one row per cell, in config order), summary.md
-    (mean +/- std per method and fraction) and config_echo.json.  Cells are
+    (mean +/- std per method and fraction), config_echo.json (with absolute
+    CoNLL paths) and a fresh masks/ directory of sidecars.  Cells are
     independent; with workers > 1 they run in a process pool, one (fraction,
     seed) group per task, and the output is identical to a serial run.
     """
+    if config.train_path:  # absolute, so `report` can redraw the masks from anywhere
+        config = replace(config, **{k: os.path.abspath(getattr(config, k))
+                                    for k in ("train_path", "dev_path", "test_path")})
     os.makedirs(out_dir, exist_ok=True)
     cache_dir = os.path.join(out_dir, "masks")
+    shutil.rmtree(cache_dir, ignore_errors=True)  # no earlier run's sidecars stay
     lineage_dir = os.path.join(out_dir, "lineage")
     os.makedirs(lineage_dir, exist_ok=True)
     # Cells run one (fraction, seed) group at a time, each group in one
@@ -463,11 +450,12 @@ def parse_summary(path: str) -> dict[tuple[str, float], tuple[float, float, int]
 
 
 def verify_report(out_dir: str, tolerance: float = 1e-9) -> list[str]:
-    """Compare summary.md against stats recomputed from results.csv, and
-    verify every lineage file under `lineage/`.
+    """Compare summary.md against stats recomputed from results.csv, verify
+    every lineage file under `lineage/`, and compare the sidecars under
+    `masks/` with fresh draws of config_echo.json's masks.
 
     Returns a list of human-readable mismatches; empty means agreement
-    within `tolerance` and no lineage file that fails to read or verify.
+    within `tolerance`, and lineage files and mask sidecars that all check.
     """
     recomputed = recompute_stats(os.path.join(out_dir, RESULTS_NAME))
     summarized = parse_summary(os.path.join(out_dir, SUMMARY_NAME))
@@ -489,4 +477,19 @@ def verify_report(out_dir: str, tolerance: float = 1e-9) -> list[str]:
             bde.LineageRecord.read_csv(os.path.join(lineage_dir, name)).verify()
         except Exception as exc:  # a file that cannot be read is a mismatch too
             problems.append(f"lineage/{name}: {type(exc).__name__}: {exc}")
+    try:  # the config's masks drawn afresh, by sidecar name
+        config = ExperimentConfig.from_json(os.path.join(out_dir, "config_echo.json"))
+        train = load_corpora(config)[0]
+        drawn = {_sidecar_name(train, f, config.mask_seed):
+                 mask_entities(train, f, config.mask_seed)[1] for f in config.fractions}
+    except Exception as exc:  # no config to redraw from: no sidecar can be checked
+        return problems + [f"masks: cannot redraw: {type(exc).__name__}: {exc}"]
+    mask_dir = os.path.join(out_dir, "masks")
+    found = os.listdir(mask_dir) if os.path.isdir(mask_dir) else []
+    for name in sorted(set(found) | set(drawn)):
+        try:  # a missing, unreadable or foreign sidecar is a mismatch
+            if read_kept_sidecar(os.path.join(mask_dir, name)) != drawn.get(name):
+                raise ValueError("not a fresh draw of the config's masks")
+        except Exception as exc:
+            problems.append(f"masks/{name}: {type(exc).__name__}: {exc}")
     return problems

@@ -77,3 +77,21 @@ def estimate_spy(monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(bde, "partition", spy)
     return calls
+
+
+@pytest.fixture(scope="session")
+def tamper_sidecar():
+    """Rewrite a kept-span sidecar with one fault that leaves it readable."""
+    def tamper(path, fault):
+        with open(path) as fh:
+            header, *rows = fh.read().splitlines()
+        if fault == "truncated":
+            rows = rows[:len(rows) // 2]
+        elif fault == "non-gold":  # same count; one span a token longer than gold
+            i, start, end, category = rows[-1].split(",")
+            rows = rows[:-1] + [f"{i},{start},{int(end) + 1},{category}"]
+        else:  # duplicated: same count, one row twice
+            rows = rows[:-1] + rows[:1]
+        with open(path, "w") as fh:
+            fh.write("\n".join([header, *rows]) + "\n")
+    return tamper

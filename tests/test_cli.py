@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import os
+import shutil
+import sys
 
 import pytest
 
@@ -65,6 +67,23 @@ class TestExitCodes:
                        "--out", str(tmp_path / "c.conll")])
         assert rc == 2
         assert "unknown synth config keys" in capsys.readouterr().err
+
+    def test_non_json_config_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "experiment.json"
+        bad.write_text("fractions: [0.5]\n")
+        rc = cli.main(["experiment", "--config", str(bad), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"{bad}: not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("fraction", ["1.5", "-0.1", "nan"])
+    def test_fraction_outside_unit_interval_is_usage_error(self, workdir, tmp_path,
+                                                           capsys, fraction):
+        rc = cli.main(["mask", str(workdir / "train.conll"), "--fraction", fraction,
+                       "--out", str(tmp_path / "m.conll")])
+        assert rc == 2
+        assert "outside [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "m.conll").exists()
 
     @pytest.mark.parametrize("method,config,message", [
         ("supervised", {"self_train_epoch": 999}, "unknown experiment config keys"),
@@ -319,16 +338,89 @@ class TestExperimentAndReport:
         assert rc == 1
         assert f"MISMATCH lineage/{path.name}: " in out
 
+    @pytest.mark.parametrize("fault", ["truncated", "non-gold", "duplicated", "missing"])
+    def test_report_rejects_tampered_sidecar(self, experiment_run, tmp_path, capsys,
+                                             tamper_sidecar, fault):
+        _, out_dir = experiment_run
+        run = tmp_path / "run"
+        shutil.copytree(out_dir, run)
+        (sidecar,) = (run / "masks").iterdir()
+        if fault == "missing":
+            sidecar.unlink()
+        else:
+            tamper_sidecar(str(sidecar), fault)
+        rc = cli.main(["report", str(run)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        (line,) = out.splitlines()
+        assert line.startswith(f"MISMATCH masks/{sidecar.name}: ")
+
     def test_report_rejects_tampered_summary(self, experiment_run, tmp_path, capsys):
         _, out_dir = experiment_run
         bad = tmp_path / "tampered"
-        bad.mkdir()
-        (bad / "results.csv").write_text((out_dir / "results.csv").read_text())
+        shutil.copytree(out_dir, bad)  # masks and lineage stay valid
         summary = (out_dir / "summary.md").read_text()
         stats = parse_summary(str(out_dir / "summary.md"))
-        mean = next(iter(stats.values()))[0]
+        key, (mean, _, _) = next(iter(stats.items()))
         (bad / "summary.md").write_text(summary.replace(repr(mean), "0.123", 1))
         rc = cli.main(["report", str(bad)])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "MISMATCH" in out
+        (line,) = out.splitlines()
+        assert line.startswith(f"MISMATCH {key}: recomputed mean={mean!r}")
+
+    def test_report_passes_after_a_rerun_with_another_mask_seed(
+            self, experiment_run, tmp_path, capsys):
+        cfg_path, out_dir = experiment_run
+        run = tmp_path / "run"
+        shutil.copytree(out_dir, run)
+        assert cli.main(["experiment", "--config", str(cfg_path), "--out", str(run),
+                         "--seed", "777"]) == 0
+        (sidecar,) = (run / "masks").iterdir()  # the first run's sidecar is gone
+        assert sidecar.name.endswith("_s777.csv")
+        assert cli.main(["report", str(run)]) == 0
+        capsys.readouterr()
+
+    def test_report_runs_from_another_directory(self, workdir, tmp_path, monkeypatch,
+                                                 capsys):
+        cfg = experiment_config(workdir, tmp_path / "run")
+        del cfg["synth"]
+        cfg.update(seeds=[0], train_path="train.conll", dev_path="dev.conll",
+                   test_path="test.conll")
+        cfg_path = tmp_path / "paths.json"
+        cfg_path.write_text(json.dumps(cfg))
+        monkeypatch.chdir(workdir)  # the config's paths are relative to here
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+        echoed = json.loads((tmp_path / "run" / "config_echo.json").read_text())
+        assert echoed["train_path"] == str(workdir / "train.conll")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["report", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+
+
+def test_commands_never_decode_sentence_by_sentence(workdir, tmp_path, monkeypatch, capsys):
+    """Masking, training and the experiment read gold spans from one decoder,
+    `evaluation.gold_spans`, never from per-sentence `decode_bio`."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("decode_bio called")
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "partialner" and hasattr(module, "decode_bio"):
+            monkeypatch.setattr(module, "decode_bio", refuse)
+    masked = tmp_path / "masked.conll"
+    assert cli.main(["mask", str(workdir / "train.conll"), "--fraction", "0.3",
+                     "--out", str(masked)]) == 0
+    for method in ("supervised", "guided_bond", "bde:bond+guided_bond"):
+        assert cli.main(["train", "--method", method, "--train", str(masked),
+                         "--dev", str(workdir / "dev.conll"),
+                         "--config", str(workdir / "train_config.json"),
+                         "--out", str(tmp_path / method.replace(":", "_"))]) == 0
+    cfg = experiment_config(workdir, tmp_path / "exp")
+    cfg.update(seeds=[0], methods=["supervised", "bond", "guided_bond",
+                                   "bde:supervised+guided_bond"])
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+    with open(tmp_path / "exp" / "results.csv", newline="") as fh:
+        assert [row["error"] for row in csv.DictReader(fh)] == [""] * 4
+    assert cli.main(["report", str(tmp_path / "exp")]) == 0
+    capsys.readouterr()

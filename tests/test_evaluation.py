@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from partialner.corpus import Corpus, EntitySpan, LabelScheme, Sentence, decode_bio
 from partialner.evaluation import (EvalResult, _keys, bio_span_keys, evaluate_model,
-                                   gold_keys, key_scores, span_f1)
+                                   gold_keys, gold_spans, key_scores, span_f1)
 from partialner.tagger import TaggerConfig, TaggerModel, train
 
 
@@ -290,6 +290,11 @@ class TestFlatSpanKeys:
         want = span_keys(corpus.gold_spans(), offsets, SCHEME)
         assert keys.dtype == want.dtype
         np.testing.assert_array_equal(np.sort(keys), np.sort(want))
+        # the masking route: (sentence, span) pairs in corpus order, as Python ints
+        pairs = gold_spans(corpus)
+        assert pairs == [
+            (i, span) for i, spans in enumerate(corpus.gold_spans()) for span in spans]
+        assert all(type(v) is int for i, span in pairs for v in (i, span.start, span.end))
 
     def test_gold_keys_need_labels(self):
         corpus = Corpus([Sentence(("a", "b"))], SCHEME, "raw")

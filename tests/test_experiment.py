@@ -3,10 +3,10 @@
 import csv
 import json
 import os
+import shutil
 
 import pytest
 
-from partialner import experiment
 from partialner.corpus import ConfigError, SynthConfig, generate_synthetic, serialize_conll
 from partialner.experiment import (
     DEFAULT_FRACTIONS,
@@ -191,34 +191,22 @@ class TestMaskedPartial:
         files = os.listdir(cache)
         assert len(files) == 1 and files[0].startswith("mask_")
 
-    def test_second_call_reads_the_sidecar(self, tmp_path, tiny_corpus, monkeypatch):
+    @pytest.mark.parametrize("fault", ["truncated", "non-gold", "duplicated"])
+    def test_a_faulty_sidecar_is_drawn_again(self, tmp_path, tiny_corpus,
+                                             tamper_sidecar, fault):
+        # the sidecar is an audit record only: the mask is drawn on every call
         cache = str(tmp_path / "masks")
         first, kept = masked_partial(tiny_corpus, 0.5, 11, cache)
-
-        def no_remask(*args):
-            raise AssertionError("a valid sidecar was masked again")
-        monkeypatch.setattr(experiment, "mask_entities", no_remask)
+        sidecar = os.path.join(cache, os.listdir(cache)[0])
+        with open(sidecar, "rb") as fh:
+            written = fh.read()
+        tamper_sidecar(sidecar, fault)
         again, kept_again = masked_partial(tiny_corpus, 0.5, 11, cache)
         assert kept_again == kept
-        assert [p.known.spans for p in again] == [p.known.spans for p in first]
-
-    @pytest.mark.parametrize("fault", ["truncated", "non-gold", "duplicated"])
-    def test_a_faulty_sidecar_is_refused(self, tmp_path, tiny_corpus, fault):
-        cache = str(tmp_path / "masks")
-        masked_partial(tiny_corpus, 0.5, 11, cache)
-        sidecar = os.path.join(cache, os.listdir(cache)[0])
-        with open(sidecar) as fh:
-            header, *rows = fh.read().splitlines()
-        if fault == "truncated":
-            rows = rows[:len(rows) // 2]
-        elif fault == "non-gold":  # same count; sentence 2 holds no entity
-            rows = rows[:-1] + ["2,0,1,PER"]
-        else:  # same count, one row twice
-            rows = rows[:-1] + rows[:1]
-        with open(sidecar, "w") as fh:
-            fh.write("\n".join([header, *rows]) + "\n")
-        with pytest.raises(ValueError, match=os.path.basename(sidecar)):
-            masked_partial(tiny_corpus, 0.5, 11, cache)
+        assert again == first
+        with open(sidecar, "rb") as fh:
+            assert fh.read() == written
+        assert os.listdir(cache) == [os.path.basename(sidecar)]
 
     def test_distinct_keys_get_distinct_files(self, tmp_path, tiny_corpus):
         cache = str(tmp_path / "masks")
@@ -358,15 +346,16 @@ class TestSharedEstimate:
 
 class TestVerifyReport:
     def test_detects_tampered_summary(self, smoke_run, tmp_path):
-        _, out_dir, results = smoke_run
+        _, out_dir, _ = smoke_run
         tampered = tmp_path / "tampered"
-        tampered.mkdir()
-        (tampered / RESULTS_NAME).write_text(open(results).read())
+        shutil.copytree(out_dir, tampered)  # masks and lineage stay valid
+        assert verify_report(str(tampered)) == []
         summary = open(os.path.join(out_dir, SUMMARY_NAME)).read()
         stats = parse_summary(os.path.join(out_dir, SUMMARY_NAME))
-        (mean, _, _) = next(iter(stats.values()))
+        (key, (mean, _, _)) = next(iter(stats.items()))
         (tampered / SUMMARY_NAME).write_text(summary.replace(repr(mean), "0.123", 1))
-        assert verify_report(str(tampered)) != []
+        (problem,) = verify_report(str(tampered))
+        assert problem.startswith(f"{key}: recomputed mean={mean!r}")
 
     def test_recompute_rejects_foreign_columns(self, tmp_path):
         bad = tmp_path / "results.csv"
