@@ -27,38 +27,6 @@ SOFT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class FoldPartition:
-    """Size-balanced random assignment of sentence ids to k folds."""
-
-    k: int
-    assignment: tuple[int, ...]  # index: sentence id, value: fold id
-
-    def fold(self, i: int) -> list[int]:
-        return [s for s, f in enumerate(self.assignment) if f == i]
-
-    def complement(self, i: int) -> list[int]:
-        return [s for s, f in enumerate(self.assignment) if f != i]
-
-
-def partition(corpus, k: int, seed: int) -> FoldPartition:
-    """Shuffle sentence ids and chunk them into k folds differing by <= 1."""
-    n = corpus if isinstance(corpus, int) else len(corpus)
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if k > n:
-        raise ValueError(f"cannot split {n} sentences into {k} folds")
-    order = seeded_rng(seed, STREAM_PARTITION).permutation(n)
-    assignment = [0] * n
-    pos = 0
-    for fold_id in range(k):
-        size = n // k + (1 if fold_id < n % k else 0)
-        for s in order[pos:pos + size]:
-            assignment[int(s)] = fold_id
-        pos += size
-    return FoldPartition(k, tuple(assignment))
-
-
-@dataclass(frozen=True)
 class BdeConfig:
     """Cross-fit estimation configuration.
 
@@ -137,6 +105,21 @@ class LineageRecord:
                              [scored[i] for i in range(k)], sentence_fold)
 
 
+def partition(n: int, k: int, seed: int) -> LineageRecord:
+    """Shuffle sentence ids 0..n-1 and chunk them into k folds differing by
+    <= 1: fold i's model trains on every other fold and scores fold i."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if k > n:
+        raise ValueError(f"cannot split {n} sentences into {k} folds")
+    order = seeded_rng(seed, STREAM_PARTITION).permutation(n)
+    sentence_fold = np.empty(n, dtype=np.int64)
+    sentence_fold[order] = np.repeat(np.arange(k), [n // k + (i < n % k) for i in range(k)])
+    return LineageRecord([np.flatnonzero(sentence_fold != i).tolist() for i in range(k)],
+                         [np.flatnonzero(sentence_fold == i).tolist() for i in range(k)],
+                         sentence_fold.tolist())
+
+
 def _with_seed(config: selftrain.SelfTrainConfig, seed: int) -> selftrain.SelfTrainConfig:
     return replace(config, tagger=replace(config.tagger, seed=seed))
 
@@ -180,14 +163,11 @@ def estimate_base(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
     if held is not None:
         held[1].verify()
         return held
-    n = len(partial)
-    part = partition(n, config.k, derive_seed(config.seed, 0))
+    lineage = partition(len(partial), config.k, derive_seed(config.seed, 0))
     offsets = np.cumsum([0, *map(len, partial)])
     rows = np.empty((offsets[-1], val.scheme.tag_count))  # every sentence is scored once
-    lineage = LineageRecord([], [], [0] * n)
-    for i in range(config.k):
-        train_ids = part.complement(i)
-        scored_ids = part.fold(i)
+    for i, (train_ids, scored_ids) in enumerate(
+            zip(lineage.fold_train_ids, lineage.fold_scored_ids)):
         inner_cfg = _with_seed(config.selftrain, derive_seed(config.seed, 1, i))
         out = selftrain.run_method(config.inner_method,
                                    [partial[s] for s in train_ids], val, inner_cfg)
@@ -195,9 +175,6 @@ def estimate_base(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
             [partial[s].tokens for s in scored_ids])
         for s, d in zip(scored_ids, seqs):
             rows[offsets[s]:offsets[s + 1]] = d
-            lineage.sentence_fold[s] = i
-        lineage.fold_train_ids.append(sorted(train_ids))
-        lineage.fold_scored_ids.append(sorted(scored_ids))
     lineage.verify()
     soft = tagger.SoftDataset(tuple(p.sentence for p in partial), rows, val.scheme)
     _handover.put(key, soft, lineage)
@@ -252,9 +229,15 @@ def load_soft(path: str, partial: Sequence[PartiallyAnnotatedSentence],
               scheme: LabelScheme) -> tagger.SoftDataset:
     """Rebuild a SoftDataset by pairing a saved file with its partial corpus."""
     with open(path, "rb") as fh:
+        def read(size: int) -> bytes:
+            data = fh.read(size)
+            if len(data) != size:
+                raise ValueError(f"{path}: truncated: {len(data)} of {size} bytes")
+            return data
+
         if fh.read(len(SOFT_MAGIC)) != SOFT_MAGIC:
             raise ValueError(f"{path}: not a {SOFT_MAGIC.decode()} file")
-        version, c, n = struct.unpack("<III", fh.read(12))
+        version, c, n = struct.unpack("<III", read(12))
         if version != SOFT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         if c != scheme.tag_count:
@@ -264,12 +247,14 @@ def load_soft(path: str, partial: Sequence[PartiallyAnnotatedSentence],
         offsets = np.cumsum([0, *map(len, partial)])
         rows = np.empty((offsets[-1], c))
         for expect in range(n):
-            sid, length = struct.unpack("<II", fh.read(8))
+            sid, length = struct.unpack("<II", read(8))
             if sid != expect:
                 raise ValueError(f"{path}: sentence id {sid} out of order")
             if length != len(partial[sid]):
                 raise ValueError(f"{path}: sentence {sid} length {length} != "
                                  f"{len(partial[sid])}")
-            raw = fh.read(8 * length * c)
-            rows[offsets[sid]:offsets[sid + 1]] = np.frombuffer(raw, "<f8").reshape(length, c)
+            rows[offsets[sid]:offsets[sid + 1]] = np.frombuffer(
+                read(8 * length * c), "<f8").reshape(length, c)
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes left after the last sentence")
     return tagger.SoftDataset(tuple(p.sentence for p in partial), rows, scheme)

@@ -167,16 +167,16 @@ def load_corpora(config: ExperimentConfig) -> tuple[Corpus, Corpus, Corpus]:
     """Train/dev/test corpora from CoNLL files or the synthetic generator."""
     if config.train_path:
         return tuple(read_conll((config.train_path, config.dev_path, config.test_path)))
+    return tuple(_synthetic_split(config, i) for i in range(3))
+
+
+def _synthetic_split(config: ExperimentConfig, i: int) -> Corpus:
+    """Synthetic split i (0 train, 1 dev, 2 test), from its own derived seed."""
     synth = config.synth or SynthConfig()
-    train = generate_synthetic(replace(
-        synth, seed=derive_seed(synth.seed, 0), name="synthetic-train"))
-    dev = generate_synthetic(replace(
-        synth, n_sentences=config.dev_sentences,
-        seed=derive_seed(synth.seed, 1), name="synthetic-dev"))
-    test = generate_synthetic(replace(
-        synth, n_sentences=config.test_sentences,
-        seed=derive_seed(synth.seed, 2), name="synthetic-test"))
-    return train, dev, test
+    size = (synth.n_sentences, config.dev_sentences, config.test_sentences)[i]
+    name = ("synthetic-train", "synthetic-dev", "synthetic-test")[i]
+    return generate_synthetic(replace(synth, n_sentences=size,
+                                      seed=derive_seed(synth.seed, i), name=name))
 
 
 def _sidecar_name(train: Corpus, fraction: float, mask_seed: int) -> str:
@@ -262,26 +262,34 @@ def run_cell(spec: MethodSpec, partial: Sequence[PartiallyAnnotatedSentence],
                          kept_count, wall, message)
 
 
-# --- process-pool plumbing (workers > 1) ------------------------------------
+# --- the cell worker: a pool process, or this one when workers == 1 ----------
 
-_POOL_STATE: dict = {}
+_POOL_STATE: dict = {}  # a pool worker's _worker_state
 
 
-def _pool_init(config: ExperimentConfig, cache_dir: str, lineage_dir: str) -> None:
+def _worker_state(config: ExperimentConfig, cache_dir: str, lineage_dir: str) -> dict:
     train, dev, test = load_corpora(config)
-    _POOL_STATE.update(config=config, train=train, dev=dev, test=test,
-                       cache_dir=cache_dir, lineage_dir=lineage_dir, masks={})
+    return dict(config=config, train=train, dev=dev, test=test,
+                cache_dir=cache_dir, lineage_dir=lineage_dir, masks={})
 
 
-def _pool_cell(args: tuple[str, float, int]) -> RunRecord:
+def _worker_cell(st: dict, args: tuple[str, float, int]) -> RunRecord:
+    """Run one cell, drawing its fraction's mask on the worker's first use."""
     method, fraction, seed = args
-    st = _POOL_STATE
     if fraction not in st["masks"]:
         st["masks"][fraction] = masked_partial(
             st["train"], fraction, st["config"].mask_seed, st["cache_dir"])
     partial, kept = st["masks"][fraction]
     return run_cell(MethodSpec.parse(method), partial, kept, st["dev"],
                     st["test"], st["config"], fraction, seed, st["lineage_dir"])
+
+
+def _pool_init(config: ExperimentConfig, cache_dir: str, lineage_dir: str) -> None:
+    _POOL_STATE.update(_worker_state(config, cache_dir, lineage_dir))
+
+
+def _pool_cell(args: tuple[str, float, int]) -> RunRecord:
+    return _worker_cell(_POOL_STATE, args)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> str:
@@ -291,7 +299,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> str:
     (mean +/- std per method and fraction), config_echo.json (with absolute
     CoNLL paths) and a fresh masks/ directory of sidecars.  Cells are
     independent; with workers > 1 they run in a process pool, one (fraction,
-    seed) group per task, and the output is identical to a serial run.
+    seed) group per task, and with workers == 1 the same worker functions
+    run them in this process, so the output is the same for any worker count.
     """
     if config.train_path:  # absolute, so `report` can redraw the masks from anywhere
         config = replace(config, **{k: os.path.abspath(getattr(config, k))
@@ -311,16 +320,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> str:
                                  initargs=(config, cache_dir, lineage_dir)) as pool:
             records = list(pool.map(_pool_cell, cells,
                                     chunksize=len(config.methods)))
-    else:
-        train, dev, test = load_corpora(config)
-        masks = {f: masked_partial(train, f, config.mask_seed, cache_dir)
-                 for f in config.fractions}
-        records = []
-        for method, fraction, seed in cells:
-            partial, kept = masks[fraction]
-            records.append(run_cell(MethodSpec.parse(method), partial, kept,
-                                    dev, test, config, fraction, seed,
-                                    lineage_dir))
+    else:  # not through _pool_*: perfbench replaces those with worker-only wrappers
+        state = _worker_state(config, cache_dir, lineage_dir)
+        records = [_worker_cell(state, cell) for cell in cells]
     n = len(config.methods)  # back to config order: method, fraction, seed
     records = [records[g * n + j] for j in range(n) for g in range(len(groups))]
     results_path = os.path.join(out_dir, RESULTS_NAME)
@@ -479,7 +481,8 @@ def verify_report(out_dir: str, tolerance: float = 1e-9) -> list[str]:
             problems.append(f"lineage/{name}: {type(exc).__name__}: {exc}")
     try:  # the config's masks drawn afresh, by sidecar name
         config = ExperimentConfig.from_json(os.path.join(out_dir, "config_echo.json"))
-        train = load_corpora(config)[0]
+        # CoNLL files are all read: the label scheme is inferred from the three
+        train = load_corpora(config)[0] if config.train_path else _synthetic_split(config, 0)
         drawn = {_sidecar_name(train, f, config.mask_seed):
                  mask_entities(train, f, config.mask_seed)[1] for f in config.fractions}
     except Exception as exc:  # no config to redraw from: no sidecar can be checked

@@ -1,18 +1,20 @@
 """Tests for cross-fit soft-target estimation and its audit trail."""
 
 import copy
+import re
 from dataclasses import replace
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialner import bde
 from partialner.annotation import mask_entities, partial_from_labels
 from partialner.bde import (
     BdeConfig,
-    FoldPartition,
     LineageRecord,
     estimate_base,
     load_soft,
@@ -61,27 +63,42 @@ def small_run(splits, masked, tmp_path_factory):
                            lineage=LineageRecord.read_csv(lineage_path))
 
 
+n_and_k_st = st.integers(2, 200).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(2, min(n, 10))))
+
+
 class TestPartition:
+    """The fold plan is the lineage record: fold i trains on its complement."""
+
     def test_balanced_and_covering(self):
         part = partition(10, 3, seed=0)
-        sizes = [len(part.fold(i)) for i in range(3)]
-        assert sorted(sizes) == [3, 3, 4]
-        assert sorted(sum((part.fold(i) for i in range(3)), [])) == list(range(10))
+        assert sorted(map(len, part.fold_scored_ids)) == [3, 3, 4]
+        assert sorted(sum(part.fold_scored_ids, [])) == list(range(10))
 
     def test_fold_complement_partition_ids(self):
         part = partition(9, 2, seed=3)
-        for i in range(2):
-            assert sorted(part.fold(i) + part.complement(i)) == list(range(9))
-            assert not set(part.fold(i)) & set(part.complement(i))
+        for train_ids, scored_ids in zip(part.fold_train_ids, part.fold_scored_ids):
+            assert sorted(scored_ids + train_ids) == list(range(9))
+            assert not set(scored_ids) & set(train_ids)
 
     def test_deterministic_in_seed(self):
         assert partition(20, 4, seed=5) == partition(20, 4, seed=5)
         assert partition(20, 4, seed=5) != partition(20, 4, seed=6)
 
-    def test_accepts_corpus_or_count(self, tiny_corpus):
-        by_corpus = partition(tiny_corpus, 2, seed=1)
-        by_count = partition(len(tiny_corpus), 2, seed=1)
-        assert by_corpus == by_count
+    @settings(deadline=None, max_examples=150)
+    @given(n_and_k_st, st.integers(0, 2**64 - 1))
+    def test_every_partition_is_a_verified_record(self, n_and_k, seed):
+        n, k = n_and_k
+        part = partition(n, k, seed)
+        part.verify()
+        assert len(part.fold_scored_ids) == len(part.fold_train_ids) == k
+        sizes = [len(ids) for ids in part.fold_scored_ids]
+        assert max(sizes) - min(sizes) <= 1
+        for i, (train_ids, scored_ids) in enumerate(
+                zip(part.fold_train_ids, part.fold_scored_ids)):
+            assert train_ids == [s for s in range(n) if s not in set(scored_ids)]
+            assert scored_ids == [s for s in range(n) if part.sentence_fold[s] == i]
+        assert partition(n, k, seed) == part
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -174,6 +191,25 @@ class TestSoftIO:
         save_soft(small_run.soft, path)
         with pytest.raises(ValueError, match="sentences"):
             load_soft(path, masked[:-1], val.scheme)
+
+    # file header: magic (8) + version, tags, count (12); sentence header: 8
+    @pytest.mark.parametrize("cut", [14, 24, 28 + 12, -1],
+                             ids=["file-header", "sentence-header", "row", "last-byte"])
+    def test_rejects_truncated_file(self, splits, masked, tmp_path, small_run, cut):
+        _, val = splits
+        path = tmp_path / "soft.bin"
+        save_soft(small_run.soft, str(path))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated")):
+            load_soft(str(path), masked, val.scheme)
+
+    def test_rejects_trailing_bytes(self, splits, masked, tmp_path, small_run):
+        _, val = splits
+        path = tmp_path / "soft.bin"
+        save_soft(small_run.soft, str(path))
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bytes left")):
+            load_soft(str(path), masked, val.scheme)
 
 
 class TestEstimateBase:

@@ -4,9 +4,12 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+from partialner import experiment
 from partialner.corpus import ConfigError, SynthConfig, generate_synthetic, serialize_conll
 from partialner.experiment import (
     DEFAULT_FRACTIONS,
@@ -323,6 +326,28 @@ class TestRunExperiment:
         strip = lambda rows: [r[:wall] + r[wall + 1:] for r in rows]
         assert strip(read_rows(second)) == strip(read_rows(results))
 
+    def test_serial_run_is_the_worker_in_process(self, tmp_path, monkeypatch):
+        """A serial run draws each mask once, through the pool's worker
+        functions but not its entry points, which a tracer may replace."""
+        drawn = []
+        real = experiment.mask_entities
+
+        def spy(*args):
+            drawn.append(args[1])
+            return real(*args)
+
+        def pool_only(*args):
+            raise AssertionError("a serial run entered the process pool's entry point")
+        monkeypatch.setattr(experiment, "mask_entities", spy)
+        monkeypatch.setattr(experiment, "_pool_init", pool_only)
+        monkeypatch.setattr(experiment, "_pool_cell", pool_only)
+        cfg = smoke_config(methods=("supervised",))
+        rows = read_rows(run_experiment(cfg, str(tmp_path / "serial")))[1:]
+        assert sorted(drawn) == sorted(cfg.fractions)
+        assert len(rows) == len(cfg.fractions) * len(cfg.seeds)
+        assert all(r[RESULT_COLUMNS.index("error")] == "" for r in rows)
+        assert experiment._POOL_STATE == {}
+
 
 class TestSharedEstimate:
     """Both bde: finals of one inner method share each cross-fit estimate."""
@@ -357,6 +382,18 @@ class TestVerifyReport:
         (problem,) = verify_report(str(tampered))
         assert problem.startswith(f"{key}: recomputed mean={mean!r}")
 
+    def test_generates_only_the_training_split(self, smoke_run, monkeypatch):
+        _, out_dir, _ = smoke_run
+        calls = []
+        real = experiment.generate_synthetic
+
+        def spy(config):
+            calls.append(config.name)
+            return real(config)
+        monkeypatch.setattr(experiment, "generate_synthetic", spy)
+        assert verify_report(out_dir) == []
+        assert calls == ["synthetic-train"]
+
     def test_recompute_rejects_foreign_columns(self, tmp_path):
         bad = tmp_path / "results.csv"
         bad.write_text("method,f1\nbond,0.5\n")
@@ -368,3 +405,29 @@ class TestVerifyReport:
         empty.write_text("# nothing here\n")
         with pytest.raises(ValueError, match="table"):
             parse_summary(str(empty))
+
+
+class TestCompareRuns:
+    SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "compare_runs.py")
+
+    def compare(self, a, b):
+        return subprocess.run([sys.executable, self.SCRIPT, str(a), str(b)],
+                              capture_output=True, text=True, timeout=60)
+
+    def test_equal_runs_and_a_tampered_copy(self, smoke_run, tmp_path):
+        cfg, out_dir, _ = smoke_run
+        again = tmp_path / "again"
+        run_experiment(cfg, str(again))
+        same = self.compare(out_dir, again)
+        assert (same.returncode, same.stdout) == (0, "no difference\n")
+        lineage = sorted(os.listdir(again / "lineage"))[0]
+        with open(again / "lineage" / lineage, "a") as fh:
+            fh.write("scored,9,0\n")
+        sidecar = sorted(os.listdir(again / "masks"))[0]
+        os.remove(again / "masks" / sidecar)
+        changed = self.compare(out_dir, again)
+        assert changed.returncode == 1
+        assert changed.stdout.splitlines() == [
+            f"lineage/{lineage}: contents differ", f"masks/{sidecar}: only in A",
+            "2 difference(s)"]
