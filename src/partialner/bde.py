@@ -124,45 +124,23 @@ def _with_seed(config: selftrain.SelfTrainConfig, seed: int) -> selftrain.SelfTr
     return replace(config, tagger=replace(config.tagger, seed=seed))
 
 
-class _Handover:
-    """Cross-fit estimates waiting for the next call with equal inputs.
-
-    Holds the estimates of one (partial, val) corpus pair; a call with another
-    pair drops them.  Each entry is a private copy and is handed over once.
-    """
-
-    def __init__(self):
-        self.corpora: tuple | None = None
-        self.estimates: dict = {}
-
-    def take(self, corpora: tuple, key: tuple):
-        if corpora != self.corpora:
-            self.corpora, self.estimates = corpora, {}
-        return self.estimates.pop(key, None)
-
-    def put(self, key: tuple, soft: tagger.SoftDataset, lineage: LineageRecord) -> None:
-        self.estimates[key] = (replace(soft, rows=soft.rows.copy()), copy.deepcopy(lineage))
-
-
-_handover = _Handover()
-
-
 def estimate_base(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
                   config: BdeConfig) -> tuple[tagger.SoftDataset, LineageRecord]:
     """Per fold, train the inner method on the complement and score the fold.
 
-    The estimate does not depend on `config.final_method`, so it is computed
-    once for the two final methods: the result is held until the next call
-    with equal corpora and equal `k`, `inner_method`, `seed` and `selftrain`,
-    which takes it (after verifying its lineage again) instead of
+    The estimate does not read `config.final_method`, so it goes through the
+    stage memo keyed by the corpora, `k`, `inner_method`, `seed` and
+    `selftrain`, and the final method is the one asking: the other final
+    method takes a copy, whose lineage is verified again, instead of
     recomputing it.
     """
     corpora = (tuple(partial), val)
     key = (config.k, config.inner_method, config.seed, config.selftrain)
-    held = _handover.take(corpora, key)
+    held = selftrain.memo.take("estimate", corpora, key, config.final_method)
     if held is not None:
-        held[1].verify()
-        return held
+        soft, lineage = _private(*held)
+        lineage.verify()
+        return soft, lineage
     lineage = partition(len(partial), config.k, derive_seed(config.seed, 0))
     offsets = np.cumsum([0, *map(len, partial)])
     rows = np.empty((offsets[-1], val.scheme.tag_count))  # every sentence is scored once
@@ -177,8 +155,14 @@ def estimate_base(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
             rows[offsets[s]:offsets[s + 1]] = d
     lineage.verify()
     soft = tagger.SoftDataset(tuple(p.sentence for p in partial), rows, val.scheme)
-    _handover.put(key, soft, lineage)
+    selftrain.memo.put("estimate", corpora, key, config.final_method,
+                       _private(soft, lineage))
     return soft, lineage
+
+
+def _private(soft: tagger.SoftDataset, lineage: LineageRecord,
+             ) -> tuple[tagger.SoftDataset, LineageRecord]:
+    return replace(soft, rows=soft.rows.copy()), copy.deepcopy(lineage)
 
 
 def train_on_base(partial: Sequence[PartiallyAnnotatedSentence],

@@ -267,12 +267,12 @@ def _to_bio(labels: Sequence[int], scheme: LabelScheme) -> tuple[int, ...]:
 
 def serialize_conll(corpus: Corpus) -> str:
     """CoNLL text: one `token TAG` line per token, blank line between sentences."""
+    names = list(_tag_table(corpus.scheme))  # tag names in index order
     blocks = []
     for s in corpus.sentences:
         if s.labels is None:
             raise ValueError("cannot serialize unlabelled sentences")
-        blocks.append("\n".join(
-            f"{t} {corpus.scheme.tag_name(l)}" for t, l in zip(s.tokens, s.labels)))
+        blocks.append("\n".join(f"{t} {names[l]}" for t, l in zip(s.tokens, s.labels)))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 

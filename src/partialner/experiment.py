@@ -91,7 +91,7 @@ class ExperimentConfig:
     self_train_epochs: int = 20
     hard_targets: bool = False
     bde_k: int = 2
-    workers: int | None = None   # None: one per core; 1: in-process serial
+    workers: int | None = None   # None: one per usable core; 1: in-process serial
 
     def __post_init__(self):
         paths = (self.train_path, self.dev_path, self.test_path)
@@ -292,6 +292,14 @@ def _pool_cell(args: tuple[str, float, int]) -> RunRecord:
     return _worker_cell(_POOL_STATE, args)
 
 
+def _usable_cores() -> int:
+    """The CPUs this process may run on (its affinity mask where the platform
+    has one, so a cpuset-limited container counts its own), at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str) -> str:
     """Run the whole matrix; returns the results.csv path.
 
@@ -311,10 +319,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> str:
     lineage_dir = os.path.join(out_dir, "lineage")
     os.makedirs(lineage_dir, exist_ok=True)
     # Cells run one (fraction, seed) group at a time, each group in one
-    # process, so the two bde: finals of a group share one cross-fit estimate.
+    # process, so the methods of a group share their repeated stages through
+    # the stage memo (selftrain.memo).
     groups = [(f, s) for f in config.fractions for s in config.seeds]
     cells = [(m, f, s) for f, s in groups for m in config.methods]
-    workers = config.workers if config.workers is not None else os.cpu_count() or 1
+    workers = config.workers if config.workers is not None else _usable_cores()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(config, cache_dir, lineage_dir)) as pool:

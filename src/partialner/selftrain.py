@@ -10,6 +10,8 @@ are certainly correct.
 """
 from __future__ import annotations
 
+import copy
+import hashlib
 import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -61,15 +63,16 @@ def self_train(init_model: tagger.TaggerModel,
                config: SelfTrainConfig) -> tuple[tagger.TaggerModel, StageTrace]:
     """Iterated distillation from a periodically refreshed frozen teacher.
 
-    Teacher and student both start as copies of `init_model`.  Returns the
-    student checkpoint with the best validation F1 seen across the stage,
-    the pre-update model included as iteration 0.
+    Trains `init_model` in place and returns it, as `tagger.train` does:
+    teacher and student both start as compact copies of it, and it ends
+    holding the student checkpoint with the best validation F1 seen across
+    the stage, the pre-update model included as iteration 0.
 
     Without guidance or hard targets the student's targets are its own
     outputs, so every gradient is exactly zero and no epoch moves it.  That
     stage is computed in closed form: the trace (apart from `losses`, left
-    empty), the refresh checkpoints and the returned model are the ones
-    `_distill` would produce.
+    empty), the refresh checkpoints and the returned model, `init_model`
+    unchanged, are the ones `_distill` would produce.
     """
     if config.guidance or config.hard_targets:
         return _distill(init_model, partial, val, config)
@@ -85,8 +88,8 @@ def self_train(init_model: tagger.TaggerModel,
     if config.checkpoint_dir:
         for epoch in refreshes:
             _save_teacher(init_model, epoch, config)
-    return init_model.copy(), StageTrace("self_train", [f1] * (epochs + 1),
-                                         refreshes, stopped_early=stopped)
+    return init_model, StageTrace("self_train", [f1] * (epochs + 1),
+                                  refreshes, stopped_early=stopped)
 
 
 def _distill(init_model: tagger.TaggerModel,
@@ -97,11 +100,11 @@ def _distill(init_model: tagger.TaggerModel,
     The teacher is a compact copy of the stage's working model.  Its rows
     are scored per batch (identical to materializing them per refresh
     window, since the teacher is frozen in between); its checkpoints are
-    written on the full table.
+    written on a copy of the full table.
     """
     cfg = config.tagger
     table = tagger.StageTable(
-        init_model.copy(), tagger.encode_tokens([p.tokens for p in partial], cfg), val, cfg)
+        init_model, tagger.encode_tokens([p.tokens for p in partial], cfg), val, cfg)
     teacher = table.work.copy()
     labels = np.asarray([l for p in partial for l in p.labels], dtype=np.intp)
     # a partial sentence's labels are non-O exactly on its known spans
@@ -121,7 +124,7 @@ def _distill(init_model: tagger.TaggerModel,
             return False
         teacher.load_from(student)
         if config.checkpoint_dir:
-            _save_teacher(table.write(teacher, table.model.copy()), epoch, config)
+            _save_teacher(table.model.copy().write_rows(teacher, table.rows), epoch, config)
         return True
 
     return tagger.fit(table, targets, cfg, "self_train", STREAM_SELFTRAIN,
@@ -131,6 +134,70 @@ def _distill(init_model: tagger.TaggerModel,
 def _save_teacher(teacher: tagger.TaggerModel, epoch: int, config: SelfTrainConfig) -> None:
     tagger.save_checkpoint(teacher, os.path.join(
         config.checkpoint_dir, f"teacher_epoch{epoch:03d}.npz"))
+
+
+class StageMemo:
+    """Stage results kept for the other methods that train the same stage on
+    equal inputs.
+
+    Each stage's entries belong to one (partial, validation) corpus pair; a
+    request with another pair drops them, so the cross-fit estimate's own
+    fold fits leave the estimates of the outer pair in place.  An entry is
+    keyed by the values its stage reads, and records the methods that
+    produced or received it.  `take` hands a method an entry it has neither
+    produced nor received; otherwise it returns None, and the caller trains
+    the stage again and `put`s the result in its place.  So a repeated cell
+    trains again.  Each entry is a private copy; a caller copies out of what
+    `take` returns.
+    """
+
+    def __init__(self):
+        self.stages: dict = {}  # stage -> (corpora, {key: (value, methods)})
+
+    def _entries(self, stage: str, corpora: tuple) -> dict:
+        held = self.stages.get(stage)
+        if held is None or held[0] != corpora:
+            held = self.stages[stage] = (corpora, {})
+        return held[1]
+
+    def take(self, stage: str, corpora: tuple, key: tuple, method: str):
+        entry = self._entries(stage, corpora).get(key)
+        if entry is None or method in entry[1]:
+            return None
+        entry[1].add(method)
+        return entry[0]
+
+    def put(self, stage: str, corpora: tuple, key: tuple, method: str, value) -> None:
+        self._entries(stage, corpora)[key] = (value, {method})
+
+
+memo = StageMemo()
+
+
+def _memo_fit(method: str, partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
+              config: SelfTrainConfig, soft: tagger.SoftDataset | None,
+              ) -> tuple[tagger.TaggerModel, StageTrace]:
+    """`ner_fit` through the memo, keyed by what it reads: the corpora, the
+    tagger config and the soft targets' values.
+
+    An entry holds the fitted model's stage rows and dense layers and its
+    trace; a hit rebuilds the model as the fresh init with them written in,
+    which is the fitted model bit for bit, since `tagger.fit` writes only
+    those rows into its init model.
+    """
+    corpora = (tuple(partial), val)
+    key = (config.tagger, None if soft is None else (
+        soft.sentences, soft.rows.shape,
+        hashlib.sha256(np.ascontiguousarray(soft.rows, dtype=np.float64)).digest()))
+    held = memo.take("ner_fit", corpora, key, method)
+    if held is not None:
+        compact, trace = held
+        model = tagger.TaggerModel.init(config.tagger, val.scheme)
+        return model.write_rows(compact, trace.rows), copy.deepcopy(trace)
+    model, trace = ner_fit(partial, val, config, soft)
+    memo.put("ner_fit", corpora, key, method,
+             (model.compact(trace.rows), copy.deepcopy(trace)))
+    return model, trace
 
 
 @dataclass
@@ -151,13 +218,14 @@ def run_method(method: str, partial: Sequence[PartiallyAnnotatedSentence],
     self-training stage; `guided_bond` is `bond` with guidance on.  Given
     `soft` targets for the sentences of `partial`, the fit trains on them
     instead of the partial hard labels; self-training still reads `partial`.
+    The fit goes through the stage memo, so the methods of one (fraction,
+    seed) share it; self-training trains the fitted model in place.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    model, fit_trace = _memo_fit(method, partial, val, config, soft)
     if method == "supervised":
-        model, trace = ner_fit(partial, val, config, soft)
-        return RunOutput(model, trace.best_f1, [trace])
-    if method in ("bond", "guided_bond"):
-        cfg = replace(config, guidance=(method == "guided_bond"))
-        init_model, fit_trace = ner_fit(partial, val, cfg, soft)
-        model, st_trace = self_train(init_model, partial, val, cfg)
-        return RunOutput(model, st_trace.best_f1, [fit_trace, st_trace])
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        return RunOutput(model, fit_trace.best_f1, [fit_trace])
+    cfg = replace(config, guidance=(method == "guided_bond"))
+    model, st_trace = self_train(model, partial, val, cfg)
+    return RunOutput(model, st_trace.best_f1, [fit_trace, st_trace])

@@ -157,6 +157,19 @@ class TaggerModel:
                            self.w1.copy(), self.b1.copy(),
                            self.w2.copy(), self.b2.copy())
 
+    def compact(self, rows: np.ndarray) -> "TaggerModel":
+        """A copy whose embedding table holds only the rows `rows`, in order."""
+        return TaggerModel(self.config, self.scheme, self.embed[rows], self.w1.copy(),
+                           self.b1.copy(), self.w2.copy(), self.b2.copy())
+
+    def write_rows(self, compact: "TaggerModel", rows: np.ndarray) -> "TaggerModel":
+        """Write a compact model over `rows` (see `compact`) into this
+        full-table model, dense layers included, and return this model."""
+        self.embed[rows] = compact.embed
+        for name in ("w1", "b1", "w2", "b2"):
+            np.copyto(self.params()[name], compact.params()[name])
+        return self
+
     def load_from(self, other: "TaggerModel") -> None:
         for name, arr in other.params().items():
             np.copyto(self.params()[name], arr)
@@ -359,6 +372,9 @@ class StageTrace:
     best_iteration: int = 0     # the iteration whose parameters the stage returns
     losses: list[float] = field(default_factory=list)  # per epoch; empty if closed form
     stopped_early: bool = False  # patience ran out before the epoch limit
+    # the embedding rows the stage read (StageTable.rows); every other row of
+    # the model it returns is its starting model's.  None if closed form
+    rows: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def best_f1(self) -> float:
@@ -434,20 +450,10 @@ class StageTable:
         self.model = model
         self.rows = np.unique(np.concatenate([enc.ids.reshape(-1), val_enc.ids.reshape(-1)]))
         self.enc, self.val_enc = self._remap(enc), self._remap(val_enc)
-        self.work = TaggerModel(model.config, model.scheme, model.embed[self.rows],
-                                model.w1.copy(), model.b1.copy(),
-                                model.w2.copy(), model.b2.copy())
+        self.work = model.compact(self.rows)
 
     def _remap(self, enc: EncodedTokens) -> EncodedTokens:
         return EncodedTokens(np.searchsorted(self.rows, enc.ids), enc.flags, enc.offsets)
-
-    def write(self, compact: TaggerModel, into: TaggerModel) -> TaggerModel:
-        """Write a compact model's rows and dense layers into the full-table
-        model `into` (`model` or a copy of it) and return `into`."""
-        into.embed[self.rows] = compact.embed
-        for name in ("w1", "b1", "w2", "b2"):
-            np.copyto(into.params()[name], compact.params()[name])
-        return into
 
 
 def fit(table: StageTable, targets: Callable[..., np.ndarray],
@@ -475,7 +481,8 @@ def fit(table: StageTable, targets: Callable[..., np.ndarray],
     if not n:
         raise ValueError("empty training data")
     rng = seeded_rng(config.seed, stream)
-    trace = StageTrace(stage, [validation_f1(work, table.val_enc, table.val_gold)])
+    trace = StageTrace(stage, [validation_f1(work, table.val_enc, table.val_gold)],
+                       rows=table.rows)
     best, since_best = work.copy(), 0
     bounds = np.zeros(n + 1, dtype=np.intp)
     for epoch in range(1, epochs + 1):
@@ -507,7 +514,7 @@ def fit(table: StageTable, targets: Callable[..., np.ndarray],
         if patience is not None and since_best >= patience:
             trace.stopped_early = True
             break
-    return table.write(best, table.model), trace
+    return table.model.write_rows(best, table.rows), trace
 
 
 def train(model: TaggerModel, data, val: Corpus,

@@ -1,7 +1,7 @@
 """Shared fixtures: label schemes, hand-built corpora, synthetic splits."""
 import pytest
 
-from partialner import bde
+from partialner import bde, selftrain
 from partialner.corpus import (Corpus, EntitySpan, LabelScheme, Sentence,
                                SynthConfig, encode_bio, generate_synthetic)
 from partialner.experiment import ExperimentConfig, load_corpora
@@ -64,11 +64,17 @@ def bench_splits():
     return load_corpora(ExperimentConfig())
 
 
+@pytest.fixture(autouse=True)
+def fresh_memo(monkeypatch):
+    """Every test starts with an empty stage memo, so no test trains less
+    because an earlier one trained the same stage."""
+    monkeypatch.setattr(selftrain, "memo", selftrain.StageMemo())
+
+
 @pytest.fixture
 def estimate_spy(monkeypatch):
-    """An empty cross-fit hand-over, and the fold partitions drawn since:
-    one per cross-fit estimate actually computed in this process."""
-    monkeypatch.setattr(bde, "_handover", bde._Handover())
+    """The fold partitions drawn in this test: one per cross-fit estimate
+    actually computed in this process (the memo starts empty)."""
     calls = []
     real = bde.partition
 
@@ -76,6 +82,37 @@ def estimate_spy(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
     monkeypatch.setattr(bde, "partition", spy)
+    return calls
+
+
+@pytest.fixture
+def stage_spy(monkeypatch, tmp_path):
+    """Every `ner_fit` and cross-fit partition trained in this test, pool
+    workers included: a function returning one (stage, sentences) pair per
+    call, where stage is "hard_fit", "soft_fit" or "estimate".  Forked
+    workers inherit the spies and append to the same file."""
+    log = tmp_path / "stage_spy.log"
+    real_fit, real_partition = selftrain.ner_fit, bde.partition
+
+    def record(stage, n):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{stage} {n}\n")
+
+    def fit(partial, val, config, soft=None):
+        record("hard_fit" if soft is None else "soft_fit", len(partial))
+        return real_fit(partial, val, config, soft)
+
+    def partition(n, k, seed):
+        record("estimate", n)
+        return real_partition(n, k, seed)
+    monkeypatch.setattr(selftrain, "ner_fit", fit)
+    monkeypatch.setattr(bde, "partition", partition)
+
+    def calls():
+        if not log.exists():
+            return []
+        return [(stage, int(n)) for stage, n in
+                (line.split() for line in log.read_text().splitlines())]
     return calls
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partialner import bde
+from partialner import bde, selftrain
 from partialner.annotation import mask_entities, partial_from_labels
 from partialner.bde import (
     BdeConfig,
@@ -273,7 +273,7 @@ class TestRunBde:
         soft_path = str(tmp_path / "soft.bin")
         lineage_path = str(tmp_path / "lineage.csv")
         run_bde(masked, val, config, soft_path=soft_path, lineage_path=lineage_path)
-        assert len(estimate_spy) == 1
+        assert len(estimate_spy) == 2  # the same final method asks again: recomputed
         back = LineageRecord.read_csv(lineage_path)
         assert back == lineage
         back.verify()
@@ -337,6 +337,8 @@ def assert_same_bits(a: dict, b: dict) -> None:
 
 
 class TestEstimateHandover:
+    """The stage memo hands a cross-fit estimate to the other final method."""
+
     FINALS = ("supervised", "guided_bond")
 
     def run(self, masked, val, final, path):
@@ -351,10 +353,10 @@ class TestEstimateHandover:
         _, val = splits
         fresh = {}
         for final in self.FINALS:
-            monkeypatch.setattr(bde, "_handover", bde._Handover())
+            monkeypatch.setattr(selftrain, "memo", selftrain.StageMemo())
             fresh[final] = self.run(masked, val, final, str(tmp_path / f"fresh_{final}"))
         assert len(estimate_spy) == 2
-        monkeypatch.setattr(bde, "_handover", bde._Handover())
+        monkeypatch.setattr(selftrain, "memo", selftrain.StageMemo())
         first_bits = self.run(masked, val, "supervised", str(tmp_path / "a"))
         second_bits = self.run(masked, val, "guided_bond", str(tmp_path / "b"))
         assert len(estimate_spy) == 3
@@ -390,6 +392,15 @@ class TestEstimateHandover:
         assert (len(estimate_spy), len(verified)) == (1, 2)
         estimate_base(masked, val, replace(config, final_method="guided_bond"))
         assert (len(estimate_spy), len(verified)) == (2, 3)
+
+    def test_kept_across_seeds_when_cells_run_method_by_method(self, splits, masked,
+                                                                 estimate_spy):
+        _, val = splits
+        for final in self.FINALS:  # every seed of one final, then of the other
+            for seed in (0, 1):
+                run_bde(masked, val, BdeConfig(final_method=final, seed=seed,
+                                               selftrain=fast_selftrain(seed)))
+        assert len(estimate_spy) == 2
 
     @pytest.mark.parametrize("change", ["seed", "k", "inner", "selftrain",
                                         "partial", "val"])

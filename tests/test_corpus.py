@@ -154,6 +154,19 @@ class TestConll:
         back = parse_conll(text, tiny_corpus.scheme, tiny_corpus.name)
         assert back == tiny_corpus
 
+    @pytest.mark.parametrize("n_categories", [1, 2, 3, 4])
+    def test_serialize_equals_per_token_tag_names(self, n_categories):
+        scheme = LabelScheme(tuple(f"C{i}" for i in range(n_categories)))
+        every = list(range(scheme.tag_count))  # each tag index, then reversed
+        sentences = (Sentence(tuple(f"t{i}" for i in every), tuple(every)),
+                     Sentence(("x",), (0,)),
+                     Sentence(tuple(f"r{i}" for i in every), tuple(reversed(every))))
+        corpus = Corpus(sentences, scheme, "every-tag")
+        want = "\n\n".join("\n".join(f"{t} {scheme.tag_name(l)}"
+                                     for t, l in zip(s.tokens, s.labels))
+                           for s in sentences) + "\n"
+        assert serialize_conll(corpus) == want
+
     def test_synthetic_roundtrip(self, small_splits):
         train, _, _ = small_splits
         assert parse_conll(serialize_conll(train), train.scheme, train.name) == train

@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from partialner import experiment
+from partialner import experiment, tagger
+from partialner.annotation import mask_entities
 from partialner.corpus import ConfigError, SynthConfig, generate_synthetic, serialize_conll
 from partialner.experiment import (
     DEFAULT_FRACTIONS,
@@ -367,6 +368,66 @@ class TestSharedEstimate:
             (m, repr(f), str(s)) for m in cfg.methods
             for f in cfg.fractions for s in cfg.seeds]
         assert all(r[RESULT_COLUMNS.index("error")] == "" for r in serial[1:])
+
+
+FULL_METHODS = ("supervised", "bond", "guided_bond",
+                "bde:guided_bond+supervised", "bde:guided_bond+guided_bond")
+
+
+class TestStagesTrainedOnce:
+    """The stage memo trains each repeated stage once per (fraction, seed)."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_fit_per_fraction_and_seed(self, tmp_path, stage_spy, workers):
+        cfg = smoke_config(methods=("supervised", "bond", "guided_bond"), workers=workers)
+        rows = read_rows(run_experiment(cfg, str(tmp_path / "run")))[1:]
+        assert all(r[RESULT_COLUMNS.index("error")] == "" for r in rows)
+        n_train = cfg.synth.n_sentences
+        assert stage_spy() == [("hard_fit", n_train)] * (len(cfg.fractions) * len(cfg.seeds))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_soft_fit_and_estimate_per_bde_pair(self, tmp_path, stage_spy, workers):
+        cfg = smoke_config(methods=FULL_METHODS, workers=workers)
+        rows = read_rows(run_experiment(cfg, str(tmp_path / "run")))[1:]
+        assert all(r[RESULT_COLUMNS.index("error")] == "" for r in rows)
+        calls, groups = stage_spy(), len(cfg.fractions) * len(cfg.seeds)
+        n_train = cfg.synth.n_sentences
+        assert calls.count(("hard_fit", n_train)) == groups
+        assert calls.count(("soft_fit", n_train)) == groups
+        assert calls.count(("estimate", n_train)) == groups
+        # the rest are the inner guided_bond fits, one per fold
+        assert sum(1 for stage, n in calls if n < n_train) == groups * cfg.bde_k
+        assert all(stage == "hard_fit" for stage, n in calls if n < n_train)
+
+    @pytest.mark.parametrize("method", FULL_METHODS)
+    def test_no_full_table_copy_in_a_cell(self, small_splits, monkeypatch, method):
+        train, dev, test = small_splits
+        cfg = smoke_config(tagger=fast_tagger(hash_buckets=1 << 14))
+        copied = []
+        real = tagger.TaggerModel.copy
+
+        def spy(model):
+            copied.append(model.embed.shape[0])
+            return real(model)
+        monkeypatch.setattr(tagger.TaggerModel, "copy", spy)
+        partial, kept = mask_entities(train, 0.3, cfg.mask_seed)
+        rec = run_cell(MethodSpec.parse(method), partial, len(kept), dev, test, cfg, 0.3, 0)
+        assert rec.error == ""
+        assert copied  # the stages' compact copies
+        assert cfg.tagger.hash_buckets not in copied
+
+
+class TestDefaultWorkers:
+    def test_one_usable_core_runs_serially(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-core run started a process pool")
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        cfg = smoke_config(methods=("supervised",), workers=None)
+        rows = read_rows(run_experiment(cfg, str(tmp_path / "run")))[1:]
+        assert len(rows) == len(cfg.fractions) * len(cfg.seeds)
+        assert all(r[RESULT_COLUMNS.index("error")] == "" for r in rows)
 
 
 class TestVerifyReport:

@@ -2,13 +2,14 @@
 
 import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from partialner import selftrain, tagger
-from partialner.annotation import mask_entities, partial_from_labels
-from partialner.corpus import SynthConfig, generate_synthetic
+from partialner.annotation import mask_entities, one_hot_rows, partial_from_labels
+from partialner.corpus import Corpus, SynthConfig, generate_synthetic
 from partialner.evaluation import evaluate_model
 from partialner.selftrain import (
     METHODS,
@@ -19,7 +20,7 @@ from partialner.selftrain import (
     run_method,
     self_train,
 )
-from partialner.tagger import TaggerConfig, TaggerModel, load_checkpoint
+from partialner.tagger import SoftDataset, TaggerConfig, TaggerModel, load_checkpoint
 
 
 def bits(arr):
@@ -101,9 +102,11 @@ class TestSelfTrain:
         _, val = splits
         cfg = fast_config()
         init = TaggerModel.init(cfg.tagger, val.scheme)
+        start = init.copy()
         model, trace = self_train(init, masked, val, cfg)
+        assert model is init
         for name, arr in model.params().items():
-            np.testing.assert_array_equal(arr, init.params()[name])
+            np.testing.assert_array_equal(arr, start.params()[name])
         assert trace.best_iteration == 0
         assert len(set(trace.val_f1)) == 1
 
@@ -171,15 +174,20 @@ class TestClosedFormStage:
                                   which, overrides):
         _, val = splits
         init = inits[which]
+        before = init.copy()
         runs = {}
         for name, fn in (("closed", self_train), ("loop", selftrain._distill)):
             extra = dict(overrides)
             if extra.pop("checkpoint_dir", False):
                 extra["checkpoint_dir"] = str(tmp_path / name)
                 (tmp_path / name).mkdir()
-            runs[name] = fn(init, masked, val, fast_config(self_train_epochs=6, **extra))
+            # both train their input in place; the loop gets a copy of it
+            start = init if name == "closed" else init.copy()
+            runs[name] = fn(start, masked, val, fast_config(self_train_epochs=6, **extra))
         (closed, closed_trace), (loop, loop_trace) = runs["closed"], runs["loop"]
-        assert closed is not init
+        assert closed is init  # returned unchanged: the snapshot's bits
+        for key, arr in before.params().items():
+            assert np.array_equal(bits(closed.params()[key]), bits(arr)), key
         for key, arr in loop.params().items():
             assert np.array_equal(bits(closed.params()[key]), bits(arr)), key
         assert [f.hex() for f in closed_trace.val_f1] == [f.hex() for f in loop_trace.val_f1]
@@ -214,7 +222,7 @@ class TestClosedFormStage:
             calls.append(args)
             return loop(*args)
         monkeypatch.setattr(tagger, "fit", spy)
-        self_train(inits["fitted"], masked, val, fast_config(**overrides))
+        self_train(inits["fitted"].copy(), masked, val, fast_config(**overrides))
         assert len(calls) == int(takes_loop)
 
 
@@ -365,8 +373,8 @@ class TestStageTable:
         inside = np.unique(tagger.encode_tokens(seqs, cfg.tagger).ids)
         outside = np.setdiff1d(np.arange(cfg.tagger.hash_buckets), inside)
         assert outside.size
-        for name, arr in init_model.params().items():  # the input is not written
-            np.testing.assert_array_equal(bits(arr), bits(start.params()[name]))
+        assert model is init_model  # trained in place; `start` is its snapshot
+        np.testing.assert_array_equal(trace.rows, inside)
         teachers = [load_checkpoint(str(tmp_path / f"teacher_epoch{e:03d}.npz"))
                     for e in trace.refresh_epochs]
         assert len(teachers) == 2
@@ -424,3 +432,100 @@ class TestRunMethod:
         sup = run_method("supervised", partial, val, cfg)
         guided = run_method("guided_bond", partial, val, cfg)
         assert guided.val_f1 >= sup.val_f1 - 0.02
+
+
+def soft_targets(partial, scheme, smoothing=0.0):
+    """Smoothed one-hot soft targets of the partial labels."""
+    rows = one_hot_rows([l for p in partial for l in p.labels], scheme.tag_count)
+    return SoftDataset(tuple(p.sentence for p in partial),
+                       rows * (1.0 - smoothing) + smoothing / scheme.tag_count, scheme)
+
+
+def assert_same_fit(got, want):
+    (model, trace), (want_model, want_trace) = got, want
+    for name, arr in want_model.params().items():
+        np.testing.assert_array_equal(bits(model.params()[name]), bits(arr), err_msg=name)
+    assert trace == want_trace
+    assert [f.hex() for f in trace.val_f1] == [f.hex() for f in want_trace.val_f1]
+    assert [f.hex() for f in trace.losses] == [f.hex() for f in want_trace.losses]
+    np.testing.assert_array_equal(trace.rows, want_trace.rows)
+
+
+class TestStageMemo:
+    def test_each_method_takes_an_entry_once(self):
+        memo, corpora = selftrain.StageMemo(), (("s1", "s2"), "val")
+        memo.put("fit", corpora, ("k",), "supervised", "fit")
+        assert memo.take("fit", corpora, ("k",), "supervised") is None  # it produced it
+        assert memo.take("fit", corpora, ("k",), "bond") == "fit"
+        assert memo.take("fit", corpora, ("k",), "bond") is None  # it received it
+        assert memo.take("fit", corpora, ("k",), "guided_bond") == "fit"
+        assert memo.take("fit", corpora, ("other",), "x") is None
+        assert memo.take("estimate", corpora, ("k",), "x") is None
+        memo.put("fit", corpora, ("k",), "bond", "refit")  # replaces the entry
+        assert memo.take("fit", corpora, ("k",), "guided_bond") == "refit"
+
+    def test_another_pair_drops_only_its_stage(self):
+        memo, corpora, fold = selftrain.StageMemo(), (("s1", "s2"), "val"), (("s1",), "val")
+        memo.put("fit", corpora, ("k",), "a", "fit")
+        memo.put("estimate", corpora, ("k",), "a", "estimate")
+        assert memo.take("fit", fold, ("k",), "b") is None  # a fold's fit ...
+        assert memo.take("estimate", corpora, ("k",), "b") == "estimate"  # ... keeps this
+        assert memo.take("fit", corpora, ("k",), "b") is None  # and dropped that
+
+    @pytest.mark.parametrize("smoothing", [None, 0.1], ids=["hard", "soft"])
+    def test_a_hit_is_the_fit_bit_for_bit(self, splits, masked, smoothing):
+        _, val = splits
+        cfg = fast_config()
+        soft = None if smoothing is None else soft_targets(masked, val.scheme, smoothing)
+        want = ner_fit(masked, val, cfg, soft)
+        first = selftrain._memo_fit("supervised", masked, val, cfg, soft)
+        assert_same_fit(first, want)
+        hit = selftrain._memo_fit("bond", masked, val, cfg, soft)
+        assert hit[0] is not first[0] and hit[1] is not first[1]
+        assert_same_fit(hit, want)
+        for model, trace in (first, hit):  # self-training writes what it is given
+            model.embed.fill(0.0)
+            model.w1.fill(0.0)
+            trace.val_f1.clear()
+            trace.rows.fill(0)
+        assert_same_fit(selftrain._memo_fit("guided_bond", masked, val, cfg, soft), want)
+
+    def test_bond_then_guided_bond_twice_trains_twice(self, splits, masked, stage_spy):
+        _, val = splits
+        outs = [run_method(m, masked, val, fast_config())
+                for m in ("bond", "guided_bond", "bond", "guided_bond")]
+        assert stage_spy() == [("hard_fit", len(masked))] * 2
+        for a, b in zip(outs[:2], outs[2:]):
+            for name, arr in a.model.params().items():
+                np.testing.assert_array_equal(bits(b.model.params()[name]), bits(arr))
+
+    @pytest.mark.parametrize("change,hit", [
+        ("guidance", True),
+        ("self_train_epochs", True),
+        ("equal_soft_copy", True),
+        ("tagger_seed", False),
+        ("soft_values", False),
+        ("hard_labels", False),
+        ("val", False),
+    ])
+    def test_keyed_by_what_the_fit_reads(self, splits, masked, stage_spy, change, hit):
+        trn, val = splits
+        cfg, soft = fast_config(), soft_targets(masked, val.scheme, 0.1)
+        run_method("supervised", masked, val, cfg, soft)
+        other_val = val
+        if change == "guidance":
+            cfg = replace(cfg, guidance=True)
+        elif change == "self_train_epochs":
+            cfg = replace(cfg, self_train_epochs=5)
+        elif change == "equal_soft_copy":
+            soft = replace(soft, rows=soft.rows.copy())
+        elif change == "tagger_seed":
+            cfg = replace(cfg, tagger=replace(cfg.tagger, seed=1))
+        elif change == "soft_values":
+            soft = soft_targets(masked, val.scheme, 0.2)
+        elif change == "hard_labels":
+            soft = None
+        else:
+            other_val = Corpus(val.sentences[::-1], val.scheme, val.name)
+        run_method("bond", masked, other_val, cfg, soft)
+        assert len(stage_spy()) == (1 if hit else 2)
