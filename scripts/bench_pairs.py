@@ -5,10 +5,10 @@ claim rule to every end-to-end metric.
     python3 scripts/bench_pairs.py PARENT CHANGE --workload selftrain \
         --pairs 10 --seed 0 --out BENCH_<n>.json
 
-Each pair runs `perfbench/run.py --workload W --seed S --seconds 30
+Each pair runs `perfbench/run.py --workload W --seed S --seconds T
 --trace 0` once in each tree, with the command prefix (BLAS thread
-settings) of CHANGE's BENCHMARK.json; even pairs run PARENT first and odd
-pairs CHANGE first.  Every run uses the same seed, as the benchmark command
+settings) and the run length T (`run_seconds`) of CHANGE's BENCHMARK.json;
+even pairs run PARENT first and odd pairs CHANGE first.  Every run uses the same seed, as the benchmark command
 does.  The output file holds every run's metrics, cell times and F1 means
 and, per end-to-end metric, both sides' medians and quartiles
 (numpy.percentile 25/75, linear), the pairs the change wins, how much worse
@@ -102,15 +102,14 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     spec = benchmark_spec(trees["change"])
     runs = run_pairs(trees, spec["command"], args.workload, args.pairs, args.seed,
-                     args.seconds)
+                     spec["run_seconds"])
     result = {"workload": args.workload, "pairs": args.pairs, "seed": args.seed,
-              "seconds": args.seconds, "command": spec["command"], "trees": trees,
+              "seconds": spec["run_seconds"], "command": spec["command"], "trees": trees,
               "summary": summarize(runs, spec["end_to_end"]), "runs": runs}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)

@@ -147,8 +147,12 @@ class StageMemo:
     produced or received it.  `take` hands a method an entry it has neither
     produced nor received; otherwise it returns None, and the caller trains
     the stage again and `put`s the result in its place.  So a repeated cell
-    trains again.  Each entry is a private copy; a caller copies out of what
-    `take` returns.
+    trains again.  A `take` with `latest_only` that misses drops the
+    stage's entries, so the fit, whose askers run in a row, holds one entry
+    and frees it before it trains again; the estimate, which the
+    method-by-method order of the acceptance matrix asks for across seeds,
+    keeps one entry per key.  Each entry is a private copy; a caller copies
+    out of what `take` returns.
     """
 
     def __init__(self):
@@ -160,9 +164,13 @@ class StageMemo:
             held = self.stages[stage] = (corpora, {})
         return held[1]
 
-    def take(self, stage: str, corpora: tuple, key: tuple, method: str):
-        entry = self._entries(stage, corpora).get(key)
+    def take(self, stage: str, corpora: tuple, key: tuple, method: str,
+             latest_only: bool = False):
+        entries = self._entries(stage, corpora)
+        entry = entries.get(key)
         if entry is None or method in entry[1]:
+            if latest_only:
+                entries.clear()  # freed before the caller trains the stage again
             return None
         entry[1].add(method)
         return entry[0]
@@ -189,7 +197,7 @@ def _memo_fit(method: str, partial: Sequence[PartiallyAnnotatedSentence], val: C
     key = (config.tagger, None if soft is None else (
         soft.sentences, soft.rows.shape,
         hashlib.sha256(np.ascontiguousarray(soft.rows, dtype=np.float64)).digest()))
-    held = memo.take("ner_fit", corpora, key, method)
+    held = memo.take("ner_fit", corpora, key, method, latest_only=True)
     if held is not None:
         compact, trace = held
         model = tagger.TaggerModel.init(config.tagger, val.scheme)

@@ -91,7 +91,8 @@ def test_main_writes_the_result_file(bench_pairs, tmp_path, monkeypatch):
     for tree in ("p", "c"):
         (tmp_path / tree).mkdir()
         (tmp_path / tree / "BENCHMARK.json").write_text(json.dumps(
-            {"command": ["python3", "perfbench/run.py"], "end_to_end": END_TO_END}))
+            {"command": ["python3", "perfbench/run.py"], "run_seconds": 5,
+             "end_to_end": END_TO_END}))
     seen = []
 
     def run(tree, prefix, workload, seed, seconds):
@@ -102,14 +103,14 @@ def test_main_writes_the_result_file(bench_pairs, tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "run_tree", run)
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main([str(tmp_path / "p"), str(tmp_path / "c"), "--workload",
-                             "selftrain", "--pairs", "2", "--seconds", "5",
-                             "--out", str(out)]) == 0
-    assert seen == [("p", ["python3", "perfbench/run.py"], 5.0),
-                    ("c", ["python3", "perfbench/run.py"], 5.0),
-                    ("c", ["python3", "perfbench/run.py"], 5.0),
-                    ("p", ["python3", "perfbench/run.py"], 5.0)]
+                             "selftrain", "--pairs", "2", "--out", str(out)]) == 0
+    assert seen == [("p", ["python3", "perfbench/run.py"], 5),
+                    ("c", ["python3", "perfbench/run.py"], 5),
+                    ("c", ["python3", "perfbench/run.py"], 5),
+                    ("p", ["python3", "perfbench/run.py"], 5)]
     result = json.loads(out.read_text())
-    assert (result["workload"], result["pairs"], result["seed"]) == ("selftrain", 2, 0)
+    assert (result["workload"], result["pairs"], result["seed"], result["seconds"]) == (
+        "selftrain", 2, 0, 5)
     assert len(result["runs"]) == 4
     rss = result["summary"]["peak_rss_mb"]
     assert (rss["parent_median"], rss["change_median"], rss["change_wins"]) == (90.0, 80.0, 2)

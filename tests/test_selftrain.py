@@ -464,6 +464,30 @@ class TestStageMemo:
         memo.put("fit", corpora, ("k",), "bond", "refit")  # replaces the entry
         assert memo.take("fit", corpora, ("k",), "guided_bond") == "refit"
 
+    def test_a_latest_only_miss_drops_the_stage_s_entries(self):
+        memo, corpora = selftrain.StageMemo(), (("s1", "s2"), "val")
+        memo.put("fit", corpora, ("seed0",), "a", "fit0")
+        memo.put("estimate", corpora, ("seed0",), "a", "estimate0")
+        assert memo.take("fit", corpora, ("seed0",), "b", latest_only=True) == "fit0"
+        assert memo.take("fit", corpora, ("seed1",), "a", latest_only=True) is None
+        assert memo.stages["fit"][1] == {}  # freed before the fit trains again
+        memo.put("fit", corpora, ("seed1",), "a", "fit1")
+        assert memo.take("fit", corpora, ("seed1",), "a", latest_only=True) is None
+        assert memo.stages["fit"][1] == {}  # a method asking again trains again
+        assert memo.take("estimate", corpora, ("seed1",), "b") is None  # keeps the rest
+        assert memo.take("estimate", corpora, ("seed0",), "b") == "estimate0"
+
+    def test_the_fit_keeps_one_entry(self, splits, masked, stage_spy):
+        _, val = splits
+        cfg = fast_config()
+        other = replace(cfg, tagger=replace(cfg.tagger, seed=cfg.tagger.seed + 1))
+        for config in (cfg, other):
+            run_method("supervised", masked, val, config)
+        assert len(selftrain.memo.stages["ner_fit"][1]) == 1
+        run_method("bond", masked, val, other)  # the latest is served ...
+        run_method("bond", masked, val, cfg)  # ... the one before trains again
+        assert stage_spy() == [("hard_fit", len(masked))] * 3
+
     def test_another_pair_drops_only_its_stage(self):
         memo, corpora, fold = selftrain.StageMemo(), (("s1", "s2"), "val"), (("s1",), "val")
         memo.put("fit", corpora, ("k",), "a", "fit")
