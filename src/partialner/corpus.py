@@ -6,10 +6,12 @@ construction and safe to share between threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from numbers import Integral, Real
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import UnionType
+from typing import Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .rng import STREAM_SYNTH, seeded_rng
 
@@ -22,6 +24,27 @@ class ParseError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid generator or experiment configuration."""
+
+
+def check_types(config) -> None:
+    """Raise a ConfigError naming the first field of the dataclass `config`
+    whose value is not of its declared type.  An integer is a float, a bool is
+    neither, and a tuple's items are checked too."""
+    hints = get_type_hints(type(config))
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not _is_a(value, hints[f.name]):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+
+
+def _is_a(value, hint) -> bool:
+    origin, args = get_origin(hint) or hint, get_args(hint)
+    if origin in (Union, UnionType):
+        return any(_is_a(value, a) for a in args)
+    if origin is tuple:
+        return isinstance(value, tuple) and all(_is_a(v, args[0]) for v in value)
+    kind = {int: Integral, float: Real}.get(origin, origin)
+    return isinstance(value, kind) and (origin is bool or not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -407,18 +430,19 @@ class SynthConfig:
     name: str = "synthetic"
 
     def __post_init__(self):
+        check_types(self)
         if self.n_sentences < 0:
             raise ConfigError("n_sentences must be >= 0")
 
     @staticmethod
     def from_dict(data: Mapping) -> "SynthConfig":
         """Config from parsed JSON: lists become tuples, unknown keys are errors."""
-        data = dict(data)
+        data = {**data}  # unlike dict(data), rejects a list of pairs
         unknown = set(data) - set(SynthConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
         for key in ("categories", "templates"):
-            if data.get(key) is not None:
+            if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
         if data.get("gazetteers") is not None:
             data["gazetteers"] = {c: tuple(v) for c, v in data["gazetteers"].items()}

@@ -26,8 +26,8 @@ from . import bde, selftrain, tagger
 # partial_from_kept is unused here, but perfbench/probes.py wraps this binding
 from .annotation import (PartiallyAnnotatedSentence, mask_entities, partial_from_kept,
                          read_kept_sidecar, write_kept_sidecar)
-from .corpus import (ConfigError, Corpus, SynthConfig, generate_synthetic, read_conll,
-                     serialize_conll)
+from .corpus import (ConfigError, Corpus, SynthConfig, check_types, generate_synthetic,
+                     read_conll, serialize_conll)
 from .evaluation import evaluate_model
 from .rng import derive_seed
 
@@ -94,22 +94,22 @@ class ExperimentConfig:
     workers: int | None = None   # None: one per usable core; 1: in-process serial
 
     def __post_init__(self):
+        check_types(self)
         paths = (self.train_path, self.dev_path, self.test_path)
         if any(paths) and not all(paths):
             raise ConfigError("set all of train/dev/test paths or none")
-        if not self.fractions:
-            raise ConfigError("at least one fraction required")
+        if min(self.dev_sentences, self.test_sentences) < 1:
+            raise ConfigError("dev_sentences and test_sentences must be >= 1")
+        for name in ("fractions", "seeds", "methods"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"at least one {name[:-1]} required")
+            if len(set(values)) != len(values):
+                raise ConfigError(f"duplicate {name}")
         if any(not 0.0 < f <= 1.0 for f in self.fractions):
             raise ConfigError(f"fractions must lie in (0, 1], got {self.fractions}")
-        if not self.seeds:
-            raise ConfigError("at least one seed required")
-        if not self.methods:
-            raise ConfigError("at least one method required")
         for m in self.methods:
             MethodSpec.parse(m)
-        for name in ("fractions", "seeds", "methods"):
-            if len(set(getattr(self, name))) != len(getattr(self, name)):
-                raise ConfigError(f"duplicate {name}")
         if self.bde_k < 2:
             raise ConfigError(f"bde_k must be >= 2, got {self.bde_k}")
         if self.workers is not None and self.workers < 1:
@@ -123,24 +123,20 @@ class ExperimentConfig:
     def from_dict(data: Mapping) -> "ExperimentConfig":
         data = dict(data)
         data.pop("out_dir", None)  # consumed by the CLI, not part of the matrix
-        known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
-        unknown = set(data) - known
+        unknown = set(data) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown experiment config keys: {sorted(unknown)}")
-        if data.get("synth") is not None:
-            data["synth"] = SynthConfig.from_dict(data["synth"])
         for key in ("fractions", "seeds", "methods"):
-            if key in data:
+            if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
-        if data.get("tagger") is not None:
-            try:
-                data["tagger"] = tagger.TaggerConfig(**data["tagger"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad experiment config: tagger: {exc}") from None
-        try:
-            return ExperimentConfig(**data)
-        except TypeError as exc:
-            raise ConfigError(f"bad experiment config: {exc}") from None
+        nested = {"synth": SynthConfig.from_dict, "tagger": lambda d: tagger.TaggerConfig(**d)}
+        for key, build in nested.items():
+            if data.get(key) is not None:
+                try:
+                    data[key] = build(data[key])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"bad experiment config: {key}: {exc}") from None
+        return ExperimentConfig(**data)
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -36,16 +35,12 @@ class SelfTrainConfig:
     teacher_refresh_period: int = 1      # student epochs per teacher replacement
     self_train_epochs: int = 20
     hard_targets: bool = False           # argmax teacher outputs into one-hots
-    self_train_patience: int | None = None  # None: best-checkpoint selection only
-    checkpoint_dir: str | None = None    # write a teacher checkpoint per refresh
 
     def __post_init__(self):
         if self.teacher_refresh_period < 1:
             raise ValueError("teacher_refresh_period must be >= 1")
         if self.self_train_epochs < 1:
             raise ValueError("self_train_epochs must be >= 1")
-        if self.self_train_patience is not None and self.self_train_patience < 1:
-            raise ValueError("self_train_patience must be >= 1 when set")
 
 
 def ner_fit(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
@@ -71,25 +66,16 @@ def self_train(init_model: tagger.TaggerModel,
     Without guidance or hard targets the student's targets are its own
     outputs, so every gradient is exactly zero and no epoch moves it.  That
     stage is computed in closed form: the trace (apart from `losses`, left
-    empty), the refresh checkpoints and the returned model, `init_model`
-    unchanged, are the ones `_distill` would produce.
+    empty) and the returned model, `init_model` unchanged, are the ones
+    `_distill` would produce.
     """
     if config.guidance or config.hard_targets:
         return _distill(init_model, partial, val, config)
     val_enc, val_gold = tagger.validation_set(val, config.tagger)
     f1 = tagger.validation_f1(init_model, val_enc, val_gold)
-    epochs, patience = config.self_train_epochs, config.self_train_patience
-    stopped = patience is not None and patience <= epochs
-    if stopped:
-        # nothing improves, so patience runs out after exactly that many epochs
-        epochs = patience
-    period = config.teacher_refresh_period
-    refreshes = list(range(period, epochs + 1, period))
-    if config.checkpoint_dir:
-        for epoch in refreshes:
-            _save_teacher(init_model, epoch, config)
+    epochs, period = config.self_train_epochs, config.teacher_refresh_period
     return init_model, StageTrace("self_train", [f1] * (epochs + 1),
-                                  refreshes, stopped_early=stopped)
+                                  list(range(period, epochs + 1, period)))
 
 
 def _distill(init_model: tagger.TaggerModel,
@@ -99,8 +85,7 @@ def _distill(init_model: tagger.TaggerModel,
 
     The teacher is a compact copy of the stage's working model.  Its rows
     are scored per batch (identical to materializing them per refresh
-    window, since the teacher is frozen in between); its checkpoints are
-    written on a copy of the full table.
+    window, since the teacher is frozen in between).
     """
     cfg = config.tagger
     table = tagger.StageTable(
@@ -123,17 +108,10 @@ def _distill(init_model: tagger.TaggerModel,
         if epoch % config.teacher_refresh_period:
             return False
         teacher.load_from(student)
-        if config.checkpoint_dir:
-            _save_teacher(table.model.copy().write_rows(teacher, table.rows), epoch, config)
         return True
 
     return tagger.fit(table, targets, cfg, "self_train", STREAM_SELFTRAIN,
-                      config.self_train_epochs, config.self_train_patience, refresh)
-
-
-def _save_teacher(teacher: tagger.TaggerModel, epoch: int, config: SelfTrainConfig) -> None:
-    tagger.save_checkpoint(teacher, os.path.join(
-        config.checkpoint_dir, f"teacher_epoch{epoch:03d}.npz"))
+                      config.self_train_epochs, None, refresh)
 
 
 class StageMemo:

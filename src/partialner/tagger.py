@@ -22,7 +22,7 @@ import numpy as np
 
 from . import evaluation
 from .annotation import one_hot_rows
-from .corpus import Corpus, LabelScheme, Sentence
+from .corpus import Corpus, LabelScheme, Sentence, check_types
 from .rng import STREAM_INIT, STREAM_TRAIN, seeded_rng
 
 BOUNDARY_TOKEN = "__boundary__"  # reserved padding word, hashed like any other
@@ -45,6 +45,7 @@ class TaggerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(self)
         if min(self.embed_dim, self.hidden_dim, self.hash_buckets,
                self.batch_size, self.max_epochs) < 1:
             raise ValueError("dimensions, batch size and epoch count must be >= 1")

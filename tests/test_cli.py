@@ -90,7 +90,9 @@ class TestExitCodes:
         ("bde:supervised+supervised", {"bde_k": 1}, "bde_k must be >= 2"),
         ("bond", {"self_train_epochs": 0}, "self_train_epochs must be >= 1"),
         ("supervised", {"tagger": {"patience": 0}}, "patience must be >= 1"),
-    ], ids=["misspelled-key", "bde-k-1", "self-train-epochs-0", "patience-0"])
+        ("bond", {"self_train_epochs": 1.5}, "self_train_epochs must be int, got 1.5"),
+    ], ids=["misspelled-key", "bde-k-1", "self-train-epochs-0", "patience-0",
+            "self-train-epochs-float"])
     def test_bad_train_config_is_usage_error(self, workdir, tmp_path, capsys,
                                              method, config, message):
         bad = tmp_path / "train.json"
@@ -107,7 +109,19 @@ class TestExitCodes:
         ({"self_train_epochs": 0}, "self_train_epochs must be >= 1"),
         ({"teacher_refresh_period": 0}, "teacher_refresh_period must be >= 1"),
         ({"tagger": {"patience": 0}}, "patience must be >= 1"),
-    ], ids=["self-train-epochs-0", "refresh-period-0", "patience-0"])
+        ({"seeds": "ab"}, "seeds must be tuple[int, ...], got 'ab'"),
+        ({"self_train_epochs": 1.5}, "self_train_epochs must be int, got 1.5"),
+        ({"tagger": {"max_epochs": 2.5}}, "tagger: max_epochs must be int, got 2.5"),
+        ({"dev_sentences": 0}, "dev_sentences and test_sentences must be >= 1"),
+        ({"fractions": 0.1}, "fractions must be tuple[float, ...], got 0.1"),
+        ({"synth": [1]}, "synth: 'list' object is not a mapping"),
+        ({"synth": {"n_sentences": "x"}}, "synth: n_sentences must be int, got 'x'"),
+        ({"synth": {"categories": "PER"}}, "synth: categories must be tuple[str, ...], got 'PER'"),
+        ({"mask_seed": "a"}, "mask_seed must be int, got 'a'"),
+    ], ids=["self-train-epochs-0", "refresh-period-0", "patience-0", "seeds-string",
+            "self-train-epochs-float", "max-epochs-float", "dev-sentences-0",
+            "fractions-number", "synth-list", "synth-n-sentences-string",
+            "synth-categories-string", "mask-seed-string"])
     def test_bad_experiment_config_is_usage_error(self, tmp_path, capsys, config, message):
         # rejected before any cell runs, not reported per cell with exit 0
         bad = tmp_path / "experiment.json"

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from partialner import experiment, tagger
+from partialner import experiment, selftrain, tagger
 from partialner.annotation import mask_entities
 from partialner.corpus import ConfigError, SynthConfig, generate_synthetic, serialize_conll
 from partialner.experiment import (
@@ -143,12 +143,19 @@ class TestExperimentConfig:
         assert cfg.seeds == (1, 2)
 
     def test_selftrain_config_replaces_seed(self):
-        cfg = smoke_config(self_train_epochs=7, teacher_refresh_period=3)
+        cfg = smoke_config(self_train_epochs=7, teacher_refresh_period=3, hard_targets=True)
         st = cfg.selftrain_config(99)
         assert st.tagger.seed == 99
         assert st.tagger.embed_dim == cfg.tagger.embed_dim
         assert st.self_train_epochs == 7
         assert st.teacher_refresh_period == 3
+        assert st.hard_targets
+
+    def test_every_self_training_setting_is_an_experiment_key(self):
+        # a run sets self-training through its config keys; guidance comes
+        # from the method name in run_method
+        fields = set(selftrain.SelfTrainConfig.__dataclass_fields__) - {"guidance"}
+        assert fields <= set(ExperimentConfig.__dataclass_fields__)
 
     def test_canonical_json_and_hash_are_stable(self):
         a, b = smoke_config(), smoke_config()

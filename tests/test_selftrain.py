@@ -1,7 +1,6 @@
 """Tests for the two-stage self-training loop and its guided variant."""
 
 import hashlib
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +19,7 @@ from partialner.selftrain import (
     run_method,
     self_train,
 )
-from partialner.tagger import SoftDataset, TaggerConfig, TaggerModel, load_checkpoint
+from partialner.tagger import SoftDataset, TaggerConfig, TaggerModel
 
 
 def bits(arr):
@@ -59,12 +58,10 @@ class TestConfig:
         assert cfg.self_train_epochs == 20
         assert cfg.teacher_refresh_period == 1
         assert not cfg.guidance
-        assert cfg.self_train_patience is None
 
     @pytest.mark.parametrize("bad", [
         dict(teacher_refresh_period=0),
         dict(self_train_epochs=0),
-        dict(self_train_patience=0),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
@@ -110,14 +107,6 @@ class TestSelfTrain:
         assert trace.best_iteration == 0
         assert len(set(trace.val_f1)) == 1
 
-    def test_patience_counts_non_improving_iterations(self, splits, masked):
-        _, val = splits
-        cfg = fast_config(self_train_patience=1, self_train_epochs=10)
-        init = TaggerModel.init(cfg.tagger, val.scheme)
-        _, trace = self_train(init, masked, val, cfg)
-        # the fixpoint never improves, so one epoch exhausts the patience
-        assert len(trace.val_f1) == 2
-
     def test_guidance_anchors_pull_the_student_off_the_fixpoint(self, splits, masked):
         # selection may still pick iteration 0, but the anchored rows must
         # produce real gradients, visible as a changed epoch-1 validation F1
@@ -129,24 +118,20 @@ class TestSelfTrain:
 
     def test_hard_targets_break_the_fixpoint(self, splits, masked):
         _, val = splits
-        cfg = fast_config(hard_targets=True, self_train_epochs=1,
-                          self_train_patience=None)
+        cfg = fast_config(hard_targets=True, self_train_epochs=1)
         init = TaggerModel.init(cfg.tagger, val.scheme)
         # argmax one-hots differ from the soft outputs, so the student moves
         _, trace = self_train(init, masked, val, cfg)
         assert trace.val_f1[1] != trace.val_f1[0]
 
-    def test_refresh_schedule_and_checkpoints(self, splits, masked, tmp_path):
+    def test_refresh_schedule_and_checkpoints(self, splits, masked):
         _, val = splits
-        cfg = fast_config(teacher_refresh_period=2, self_train_epochs=5,
-                          checkpoint_dir=str(tmp_path))
+        cfg = fast_config(teacher_refresh_period=2, self_train_epochs=5)
         init = TaggerModel.init(cfg.tagger, val.scheme)
-        _, trace = self_train(init, masked, val, cfg)
+        model, trace = self_train(init, masked, val, cfg)
         assert trace.refresh_epochs == [2, 4]
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["teacher_epoch002.npz", "teacher_epoch004.npz"]
-        loaded = load_checkpoint(str(tmp_path / names[0]))
-        assert loaded.scheme.categories == val.scheme.categories
+        # the returned checkpoint is the selected iteration's
+        assert evaluate_model(model, val).f1 == pytest.approx(trace.best_f1)
 
 
 class TestClosedFormStage:
@@ -165,25 +150,18 @@ class TestClosedFormStage:
     @pytest.mark.parametrize("which", ["untrained", "fitted"])
     @pytest.mark.parametrize("overrides", [
         {},
-        {"self_train_patience": 3},
-        {"self_train_patience": 6},  # runs out on the last epoch
         {"teacher_refresh_period": 4},
-        {"checkpoint_dir": True},
-    ], ids=["defaults", "patience3", "patience6", "refresh4", "checkpoints"])
-    def test_matches_the_sgd_loop(self, splits, masked, inits, tmp_path,
-                                  which, overrides):
+        {"teacher_refresh_period": 7},  # longer than the stage: no refresh
+    ], ids=["defaults", "refresh4", "refresh7"])
+    def test_matches_the_sgd_loop(self, splits, masked, inits, which, overrides):
         _, val = splits
         init = inits[which]
         before = init.copy()
         runs = {}
         for name, fn in (("closed", self_train), ("loop", selftrain._distill)):
-            extra = dict(overrides)
-            if extra.pop("checkpoint_dir", False):
-                extra["checkpoint_dir"] = str(tmp_path / name)
-                (tmp_path / name).mkdir()
             # both train their input in place; the loop gets a copy of it
             start = init if name == "closed" else init.copy()
-            runs[name] = fn(start, masked, val, fast_config(self_train_epochs=6, **extra))
+            runs[name] = fn(start, masked, val, fast_config(self_train_epochs=6, **overrides))
         (closed, closed_trace), (loop, loop_trace) = runs["closed"], runs["loop"]
         assert closed is init  # returned unchanged: the snapshot's bits
         for key, arr in before.params().items():
@@ -196,16 +174,6 @@ class TestClosedFormStage:
         assert closed_trace.stopped_early == loop_trace.stopped_early
         assert closed_trace.losses == []  # not computed without the loop
         assert len(loop_trace.losses) == len(loop_trace.val_f1) - 1
-        if "checkpoint_dir" in overrides:
-            names = sorted(p.name for p in (tmp_path / "loop").iterdir())
-            assert names
-            assert sorted(p.name for p in (tmp_path / "closed").iterdir()) == names
-            for name in names:
-                with np.load(tmp_path / "closed" / name) as a, \
-                        np.load(tmp_path / "loop" / name) as b:
-                    assert a.files == b.files
-                    for key in a.files:
-                        assert np.array_equal(bits(a[key]), bits(b[key])), (name, key)
 
     @pytest.mark.parametrize("overrides,takes_loop", [
         ({}, False),
@@ -293,36 +261,10 @@ PINNED_TRACES = {
     },
 }
 
-# teacher checkpoint file -> array name -> SHA-256 of the array's bytes, for
-# the "hard_target_self_train" stage
-PINNED_TEACHERS = {
-    "teacher_epoch002.npz": {
-        "b1": "f148ac1ac27f22c0156100e815b13da48b1fb38f543180fd3603c647e9305af5",
-        "b2": "b75ddbb37d1484c8bba07ec75ccf6c7d259a4503f8f8ba08b298be7ac46faf25",
-        "categories": "e0c0c025167c557224ca03ba95da931e32b0694bc6e8e7ca6bf0159bc2716678",
-        "config": "267f95172961038d386c1d60e0ce85f65c7a246ddc5d5589914212f9545545a7",
-        "embed": "6ee642018fba0ef09781dc288b5d36c3c18eba3c72ec16f237e9cda2090e7342",
-        "magic": "0326914df51b7b649dbdccadd6e1214db2a3ba0fb0f93c61394ea49bf1159d68",
-        "w1": "cd63e1cf1e2a76a6353005c5f7a6524f80438950dc077a2a72568fdd253b2464",
-        "w2": "b660ebb773daf51292a51494317717f066f579fcec4306a06fc29670b0187d00",
-    },
-    "teacher_epoch004.npz": {
-        "b1": "4a17dc5e83aecf243b84433053cc4067041b1a68a89a1819dc0f38ccff02371f",
-        "b2": "ba46fcf263ab6887c1565928654a527cb5ca739ceaf9fbf9d4f3a53b8602920b",
-        "categories": "e0c0c025167c557224ca03ba95da931e32b0694bc6e8e7ca6bf0159bc2716678",
-        "config": "267f95172961038d386c1d60e0ce85f65c7a246ddc5d5589914212f9545545a7",
-        "embed": "378f630094784db4ba37867d896980df6dd72fa8b1ac590a4ecc671ad961ff7c",
-        "magic": "0326914df51b7b649dbdccadd6e1214db2a3ba0fb0f93c61394ea49bf1159d68",
-        "w1": "f0de91d6218c8c2b9736373feb0d3e266efbe77588ac791f4fa53fe2d864c8dc",
-        "w2": "aee120b8a423bcebf363c156d0562df4e9fef8c0163db5f615637f7c28f8b388",
-    },
-}
-
-
 class TestPinnedTraces:
     """Traces recorded before the two SGD loops were merged into `tagger.fit`;
-    the hard-target stage and its teacher checkpoints before `fit` moved onto
-    a compact per-stage embedding table."""
+    the hard-target stage before `fit` moved onto a compact per-stage
+    embedding table."""
 
     def check(self, name, model, trace):
         want = PINNED_TRACES[name]
@@ -340,19 +282,11 @@ class TestPinnedTraces:
         cfg = fast_config(guidance=True, self_train_epochs=4, teacher_refresh_period=2)
         self.check("guided_self_train", *self_train(fitted, masked, val, cfg))
 
-    def test_hard_target_self_train_and_its_teacher_checkpoints(self, splits, masked,
-                                                                 tmp_path):
+    def test_hard_target_self_train(self, splits, masked):
         _, val = splits
         fitted = ner_fit(masked, val, fast_config())[0]
-        cfg = fast_config(hard_targets=True, self_train_epochs=5, teacher_refresh_period=2,
-                          checkpoint_dir=str(tmp_path))
+        cfg = fast_config(hard_targets=True, self_train_epochs=5, teacher_refresh_period=2)
         self.check("hard_target_self_train", *self_train(fitted, masked, val, cfg))
-        digests = {}
-        for name in sorted(os.listdir(tmp_path)):
-            with np.load(tmp_path / name) as z:
-                digests[name] = {k: hashlib.sha256(np.ascontiguousarray(z[k]).tobytes())
-                                 .hexdigest() for k in sorted(z.files)}
-        assert digests == PINNED_TEACHERS
 
     def test_ner_fit_that_improves_on_its_start(self, splits):
         trn, val = splits
@@ -361,10 +295,9 @@ class TestPinnedTraces:
 
 
 class TestStageTable:
-    def test_guided_self_train_keeps_rows_outside_the_stage(self, splits, masked, tmp_path):
+    def test_guided_self_train_keeps_rows_outside_the_stage(self, splits, masked):
         _, val = splits
-        cfg = fast_config(guidance=True, self_train_epochs=4, teacher_refresh_period=2,
-                          checkpoint_dir=str(tmp_path))
+        cfg = fast_config(guidance=True, self_train_epochs=4, teacher_refresh_period=2)
         init_model = ner_fit(masked, val, cfg)[0]
         start = init_model.copy()
         model, trace = self_train(init_model, masked, val, cfg)
@@ -375,13 +308,9 @@ class TestStageTable:
         assert outside.size
         assert model is init_model  # trained in place; `start` is its snapshot
         np.testing.assert_array_equal(trace.rows, inside)
-        teachers = [load_checkpoint(str(tmp_path / f"teacher_epoch{e:03d}.npz"))
-                    for e in trace.refresh_epochs]
-        assert len(teachers) == 2
-        for m in [model, *teachers]:
-            assert m.embed.shape == start.embed.shape
-            np.testing.assert_array_equal(bits(m.embed[outside]), bits(start.embed[outside]))
-            assert not np.array_equal(m.embed[inside], start.embed[inside])
+        assert model.embed.shape == start.embed.shape
+        np.testing.assert_array_equal(bits(model.embed[outside]), bits(start.embed[outside]))
+        assert not np.array_equal(model.embed[inside], start.embed[inside])
 
 
 class TestRunMethod:
