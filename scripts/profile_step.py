@@ -106,7 +106,7 @@ def timed_step(student, teacher, ids, flags, tok, weights, known, labels, lr):
 
 def profile(table, partial, cfg, epochs: int) -> tuple[np.ndarray, list[int]]:
     """(steps, parts) seconds over `epochs` epochs, and each step's token count."""
-    enc, student = table.enc, table.work
+    enc, student = table.enc, table.model
     teacher = student.copy()
     labels = np.asarray([l for p in partial for l in p.labels], dtype=np.intp)
     known = labels != 0
@@ -145,7 +145,7 @@ def main() -> int:
     us = times * 1e6
     total = us.sum(axis=1)
     print(f"{len(tokens)} steps, {min(tokens)}-{max(tokens)} tokens per batch, "
-          f"{table.work.embed.shape[0]} table rows, numpy {np.__version__}, 1 BLAS thread")
+          f"{table.model.rows.size} table rows, numpy {np.__version__}, 1 BLAS thread")
     print(f"{'part':<18}{'median us':>10}{'mean us':>10}{'share':>8}")
     rows = {}
     for name, col in zip(PARTS, us.T):
@@ -159,7 +159,7 @@ def main() -> int:
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump({"steps": len(tokens), "tokens_min": min(tokens),
-                       "tokens_max": max(tokens), "table_rows": int(table.work.embed.shape[0]),
+                       "tokens_max": max(tokens), "table_rows": int(table.model.rows.size),
                        "numpy": np.__version__, "parts": rows}, fh, indent=1)
     return 0
 

@@ -6,12 +6,13 @@ construction and safe to share between threads.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from numbers import Integral, Real
 from pathlib import Path
 from types import UnionType
-from typing import Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .rng import STREAM_SYNTH, seeded_rng
 
@@ -29,7 +30,7 @@ class ConfigError(ValueError):
 def check_types(config) -> None:
     """Raise a ConfigError naming the first field of the dataclass `config`
     whose value is not of its declared type.  An integer is a float, a bool is
-    neither, and a tuple's items are checked too."""
+    neither, and the items of a tuple and of a mapping are checked too."""
     hints = get_type_hints(type(config))
     for f in fields(config):
         value = getattr(config, f.name)
@@ -43,6 +44,9 @@ def _is_a(value, hint) -> bool:
         return any(_is_a(value, a) for a in args)
     if origin is tuple:
         return isinstance(value, tuple) and all(_is_a(v, args[0]) for v in value)
+    if origin is Mapping:
+        return isinstance(value, Mapping) and all(
+            _is_a(k, args[0]) and _is_a(v, args[1]) for k, v in value.items())
     kind = {int: Integral, float: Real}.get(origin, origin)
     return isinstance(value, kind) and (origin is bool or not isinstance(value, bool))
 
@@ -444,8 +448,9 @@ class SynthConfig:
         for key in ("categories", "templates"):
             if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
-        if data.get("gazetteers") is not None:
-            data["gazetteers"] = {c: tuple(v) for c, v in data["gazetteers"].items()}
+        if isinstance(data.get("gazetteers"), Mapping):
+            data["gazetteers"] = {c: tuple(v) if isinstance(v, list) else v
+                                  for c, v in data["gazetteers"].items()}
         return SynthConfig(**data)
 
 

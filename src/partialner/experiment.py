@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ConfigError("set all of train/dev/test paths or none")
         if min(self.dev_sentences, self.test_sentences) < 1:
             raise ConfigError("dev_sentences and test_sentences must be >= 1")
+        if not any(paths) and self.synth is not None and self.synth.n_sentences < 1:
+            raise ConfigError("synth: n_sentences must be >= 1")
         for name in ("fractions", "seeds", "methods"):
             values = getattr(self, name)
             if not values:

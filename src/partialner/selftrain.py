@@ -59,7 +59,7 @@ def self_train(init_model: tagger.TaggerModel,
     """Iterated distillation from a periodically refreshed frozen teacher.
 
     Trains `init_model` in place and returns it, as `tagger.train` does:
-    teacher and student both start as compact copies of it, and it ends
+    it is the student, the teacher starts as a copy of it, and it ends
     holding the student checkpoint with the best validation F1 seen across
     the stage, the pre-update model included as iteration 0.
 
@@ -72,7 +72,7 @@ def self_train(init_model: tagger.TaggerModel,
     if config.guidance or config.hard_targets:
         return _distill(init_model, partial, val, config)
     val_enc, val_gold = tagger.validation_set(val, config.tagger)
-    f1 = tagger.validation_f1(init_model, val_enc, val_gold)
+    f1 = tagger.validation_f1(init_model, *init_model.positions(val_enc), val_gold)
     epochs, period = config.self_train_epochs, config.teacher_refresh_period
     return init_model, StageTrace("self_train", [f1] * (epochs + 1),
                                   list(range(period, epochs + 1, period)))
@@ -81,16 +81,13 @@ def self_train(init_model: tagger.TaggerModel,
 def _distill(init_model: tagger.TaggerModel,
              partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
              config: SelfTrainConfig) -> tuple[tagger.TaggerModel, StageTrace]:
-    """`self_train` through `tagger.fit`, with a frozen teacher's rows as targets.
-
-    The teacher is a compact copy of the stage's working model.  Its rows
-    are scored per batch (identical to materializing them per refresh
-    window, since the teacher is frozen in between).
-    """
+    """`self_train` through `tagger.fit`, with a frozen teacher's rows as
+    targets: a copy of the student holding the stage's rows, scored per batch
+    (identical to scoring once per refresh window, as it is frozen between)."""
     cfg = config.tagger
     table = tagger.StageTable(
         init_model, tagger.encode_tokens([p.tokens for p in partial], cfg), val, cfg)
-    teacher = table.work.copy()
+    teacher = init_model.copy()
     labels = np.asarray([l for p in partial for l in p.labels], dtype=np.intp)
     # a partial sentence's labels are non-O exactly on its known spans
     known = labels != 0
@@ -164,25 +161,17 @@ def _memo_fit(method: str, partial: Sequence[PartiallyAnnotatedSentence], val: C
               config: SelfTrainConfig, soft: tagger.SoftDataset | None,
               ) -> tuple[tagger.TaggerModel, StageTrace]:
     """`ner_fit` through the memo, keyed by what it reads: the corpora, the
-    tagger config and the soft targets' values.
-
-    An entry holds the fitted model's stage rows and dense layers and its
-    trace; a hit rebuilds the model as the fresh init with them written in,
-    which is the fitted model bit for bit, since `tagger.fit` writes only
-    those rows into its init model.
-    """
+    tagger config and the soft targets' values.  An entry is a copy of the
+    fitted model and its trace."""
     corpora = (tuple(partial), val)
     key = (config.tagger, None if soft is None else (
         soft.sentences, soft.rows.shape,
         hashlib.sha256(np.ascontiguousarray(soft.rows, dtype=np.float64)).digest()))
     held = memo.take("ner_fit", corpora, key, method, latest_only=True)
     if held is not None:
-        compact, trace = held
-        model = tagger.TaggerModel.init(config.tagger, val.scheme)
-        return model.write_rows(compact, trace.rows), copy.deepcopy(trace)
+        return held[0].copy(), copy.deepcopy(held[1])
     model, trace = ner_fit(partial, val, config, soft)
-    memo.put("ner_fit", corpora, key, method,
-             (model.compact(trace.rows), copy.deepcopy(trace)))
+    memo.put("ner_fit", corpora, key, method, (model.copy(), copy.deepcopy(trace)))
     return model, trace
 
 

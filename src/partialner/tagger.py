@@ -118,15 +118,31 @@ def encode_tokens(token_seqs: Sequence[Sequence[str]], config: TaggerConfig) -> 
     return EncodedTokens(buckets[slot_codes], token_flags[slot_codes], offsets)
 
 
-class TaggerModel:
-    """Parameter container; training lives in module functions."""
+def initial_rows(config: TaggerConfig, rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` (sorted bucket ids) of the initial table `seeded_rng(seed,
+    STREAM_INIT).uniform(-1, 1, (hash_buckets, embed_dim))` bit for bit: the
+    stream skips to row r's position r * embed_dim and draws it alone."""
+    rng, d = seeded_rng(config.seed, STREAM_INIT), config.embed_dim
+    out, drawn = np.empty((rows.size, d)), 0
+    for i, row in enumerate(rows.tolist()):
+        rng.bit_generator.advance(row * d - drawn)
+        rng.random(out=out[i])
+        drawn = (row + 1) * d
+    return out * 2.0 - 1.0  # uniform(-1, 1) as numpy computes it from random()
 
-    def __init__(self, config: TaggerConfig, scheme: LabelScheme,
+
+class TaggerModel:
+    """Parameter container; training lives in module functions.  It holds
+    the embedding rows of the sorted bucket ids `rows` only; the others are
+    drawn (`initial_rows`) when `positions` first needs them."""
+
+    def __init__(self, config: TaggerConfig, scheme: LabelScheme, rows: np.ndarray,
                  embed: np.ndarray, w1: np.ndarray, b1: np.ndarray,
                  w2: np.ndarray, b2: np.ndarray):
         self.config = config
         self.scheme = scheme
-        self.embed = embed  # (hash_buckets, embed_dim); a stage works on fewer rows
+        self.rows = rows    # (R,) sorted unique bucket ids
+        self.embed = embed  # (R, embed_dim): their rows
         self.w1 = w1        # (input_dim, hidden_dim)
         self.b1 = b1        # (hidden_dim,)
         self.w2 = w2        # (hidden_dim, tag_count)
@@ -137,54 +153,59 @@ class TaggerModel:
         """Seeded uniform(-r, r) init with r = 1/sqrt(fan_in); zero biases.
 
         The embedding table is a linear map from a one-hot bucket indicator,
-        so its fan-in is 1 and rows start at unit scale.
-        """
+        so its fan-in is 1 and rows start at unit scale.  No row is drawn
+        yet; w1 and w2 follow the table's values in the stream."""
         rng = seeded_rng(config.seed, STREAM_INIT)
+        rng.bit_generator.advance(config.hash_buckets * config.embed_dim)
 
         def uniform(shape, fan_in):
             r = 1.0 / np.sqrt(fan_in)
             return rng.uniform(-r, r, size=shape)
 
         return cls(
-            config, scheme,
-            embed=uniform((config.hash_buckets, config.embed_dim), 1),
+            config, scheme, np.zeros(0, dtype=np.int64), np.zeros((0, config.embed_dim)),
             w1=uniform((config.input_dim, config.hidden_dim), config.input_dim),
             b1=np.zeros(config.hidden_dim),
             w2=uniform((config.hidden_dim, scheme.tag_count), config.hidden_dim),
             b2=np.zeros(scheme.tag_count))
 
     def copy(self) -> "TaggerModel":
-        return TaggerModel(self.config, self.scheme, self.embed.copy(),
-                           self.w1.copy(), self.b1.copy(),
-                           self.w2.copy(), self.b2.copy())
+        return TaggerModel(self.config, self.scheme, self.rows.copy(),
+                           *(arr.copy() for arr in self.params().values()))
 
-    def compact(self, rows: np.ndarray) -> "TaggerModel":
-        """A copy whose embedding table holds only the rows `rows`, in order."""
-        return TaggerModel(self.config, self.scheme, self.embed[rows], self.w1.copy(),
-                           self.b1.copy(), self.w2.copy(), self.b2.copy())
-
-    def write_rows(self, compact: "TaggerModel", rows: np.ndarray) -> "TaggerModel":
-        """Write a compact model over `rows` (see `compact`) into this
-        full-table model, dense layers included, and return this model."""
-        self.embed[rows] = compact.embed
-        for name in ("w1", "b1", "w2", "b2"):
-            np.copyto(self.params()[name], compact.params()[name])
-        return self
+    def positions(self, *encs: EncodedTokens) -> list[EncodedTokens]:
+        """`encs` with each bucket id replaced by its row's position in
+        `embed`, after drawing the rows it lacks.  Positions keep the order of
+        ids, so results are bit for bit those over ids; adding rows makes
+        earlier positions stale, so a stage maps its encodings in one call."""
+        new = np.setdiff1d(np.concatenate([e.ids.reshape(-1) for e in encs]), self.rows)
+        if new.size:
+            self.rows, order = np.unique(np.concatenate([self.rows, new]), return_index=True)
+            self.embed = np.concatenate([self.embed, initial_rows(self.config, new)])[order]
+        return [EncodedTokens(np.searchsorted(self.rows, e.ids), e.flags, e.offsets) for e in encs]
 
     def load_from(self, other: "TaggerModel") -> None:
+        """Copy the parameters of `other`, which holds the same rows, in place."""
         for name, arr in other.params().items():
             np.copyto(self.params()[name], arr)
 
     def params(self) -> dict[str, np.ndarray]:
-        """Live references to every parameter array."""
+        """Live references to every parameter array; `embed` holds `rows` only."""
         return {"embed": self.embed, "w1": self.w1, "b1": self.b1,
                 "w2": self.w2, "b2": self.b2}
+
+    def full_embed(self) -> np.ndarray:
+        """A new (hash_buckets, embed_dim) table: the held rows, else the initial draw."""
+        embed = seeded_rng(self.config.seed, STREAM_INIT).uniform(
+            -1, 1, (self.config.hash_buckets, self.config.embed_dim))
+        embed[self.rows] = self.embed
+        return embed
 
     def flat_distributions(self, token_seqs: Sequence[Sequence[str]],
                            ) -> tuple[np.ndarray, np.ndarray]:
         """(T, C) softmax outputs of the sentences back to back, and their
         (n + 1,) token offsets."""
-        enc = encode_tokens(list(token_seqs), self.config)
+        (enc,) = self.positions(encode_tokens(list(token_seqs), self.config))
         return forward_flat(self, enc.ids, enc.flags)[2], enc.offsets
 
     def sequence_distributions(self, token_seqs: Sequence[Sequence[str]]) -> list[np.ndarray]:
@@ -193,10 +214,12 @@ class TaggerModel:
         return [probs[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
 
-def _features(model: TaggerModel, ids: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """(T, input_dim) inputs: each slot's embedding row, then its two flags."""
+def _features(model: TaggerModel, ids: np.ndarray, flags: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """(T, input_dim) inputs: each slot's embedding row, then its two flags;
+    written into `out` if given."""
     d = model.config.embed_dim
-    x = np.empty(ids.shape + (d + 2,))
+    x = np.empty(ids.shape + (d + 2,)) if out is None else out.reshape(ids.shape + (d + 2,))
     x[:, :, :d] = np.take(model.embed, ids, axis=0)
     x[:, :, d:] = flags
     return x.reshape(ids.shape[0], model.config.input_dim)
@@ -204,10 +227,15 @@ def _features(model: TaggerModel, ids: np.ndarray, flags: np.ndarray) -> np.ndar
 
 def forward_flat(model: TaggerModel, ids: np.ndarray, flags: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(features, hidden, probabilities) for a flat token batch, each a
-    fresh array the caller may overwrite."""
-    x = _features(model, ids, flags)
-    h = x @ model.w1
+    """(features, hidden, probabilities) for a flat token batch at positions
+    `ids` (`TaggerModel.positions`), each a fresh array the caller may overwrite."""
+    return _forward(model, _features(model, ids, flags))
+
+
+def _forward(model: TaggerModel, x: np.ndarray, h: np.ndarray | None = None,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`forward_flat` from features `x`, writing the hidden layer into `h` if given."""
+    h = np.matmul(x, model.w1, out=h)
     h += model.b1
     np.tanh(h, out=h)
     probs = h @ model.w2
@@ -226,14 +254,8 @@ class Gradients:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    embed_ids: np.ndarray   # (U,) unique bucket ids the batch touched
-    embed_rows: np.ndarray  # (U, embed_dim) gradient rows for those ids
-
-    def dense_embed(self, buckets: int) -> np.ndarray:
-        """Full (buckets, embed_dim) gradient table, for verification."""
-        out = np.zeros((buckets, self.embed_rows.shape[1]))
-        out[self.embed_ids] = self.embed_rows
-        return out
+    embed_ids: np.ndarray   # (U,) unique embedding positions the batch touched
+    embed_rows: np.ndarray  # (U, embed_dim) gradient rows for those positions
 
 
 def _loss(probs: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> float:
@@ -263,8 +285,8 @@ def _embed_grads(ids: np.ndarray, dx: np.ndarray, embed_dim: int,
 def flat_loss_and_grads(model: TaggerModel, ids: np.ndarray, flags: np.ndarray,
                         targets: np.ndarray, weights: np.ndarray,
                         ) -> tuple[float, Gradients]:
-    """Loss and analytic gradients for per-token-weighted cross entropy; the
-    backward pass overwrites the spent probabilities and h in place."""
+    """Loss and analytic gradients for per-token-weighted cross entropy at
+    positions `ids`; the backward pass overwrites probabilities and h in place."""
     x, h, probs = forward_flat(model, ids, flags)
     loss = _loss(probs, targets, weights)
     dlogits = np.subtract(probs, targets, out=probs)
@@ -298,7 +320,7 @@ def _batch_arrays(model: TaggerModel, sentences, targets,
         if t.shape[0] != len(seq):
             raise ValueError(f"{t.shape[0]} target rows for {len(seq)} tokens")
         rows.append(t)
-    enc = encode_tokens(token_seqs, model.config)
+    (enc,) = model.positions(encode_tokens(token_seqs, model.config))
     return enc, np.concatenate(rows, axis=0), sentence_weights(enc.lengths)
 
 
@@ -314,22 +336,19 @@ def sgd_step(model: TaggerModel, grads: Gradients, lr: float) -> None:
 def finite_difference_check(model: TaggerModel, sentences, targets,
                             h: float = 1e-4) -> float:
     """Worst guarded relative error between analytic and central-difference
-    gradients over every parameter, embedding table included.
+    gradients over every parameter, the batch's embedding rows included.
 
     Guarded denominator max(|a|, |fd|, 1e-3) keeps near-zero gradients from
     inflating the ratio with finite-difference noise.
     """
     enc, t, w = _batch_arrays(model, sentences, targets)
     analytic = flat_loss_and_grads(model, enc.ids, enc.flags, t, w)[1]
-    dense = {"w1": analytic.w1, "b1": analytic.b1, "w2": analytic.w2,
-             "b2": analytic.b2,
-             "embed": analytic.dense_embed(model.config.hash_buckets)}
+    dense = dict(vars(analytic), embed=np.zeros_like(model.embed))
+    dense["embed"][analytic.embed_ids] = analytic.embed_rows
     worst = 0.0
     for name, arr in model.params().items():
         ga = dense[name]
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
+        for idx in np.ndindex(arr.shape):
             orig = arr[idx]
             arr[idx] = orig + h
             lp = _loss(forward_flat(model, enc.ids, enc.flags)[2], t, w)
@@ -373,9 +392,6 @@ class StageTrace:
     best_iteration: int = 0     # the iteration whose parameters the stage returns
     losses: list[float] = field(default_factory=list)  # per epoch; empty if closed form
     stopped_early: bool = False  # patience ran out before the epoch limit
-    # the embedding rows the stage read (StageTable.rows); every other row of
-    # the model it returns is its starting model's.  None if closed form
-    rows: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def best_f1(self) -> float:
@@ -419,42 +435,31 @@ def validation_set(val: Corpus, config: TaggerConfig,
     return val_enc, evaluation.gold_keys(val)[0]
 
 
-def validation_f1(model: TaggerModel, val_enc: EncodedTokens,
-                  val_gold: np.ndarray) -> float:
-    """Span micro-F1 of argmax predictions over a pre-encoded validation set.
-
-    `val_gold` holds the gold span keys from `validation_set`.  Equals
-    `evaluation.span_f1` over per-sentence `decode_bio` spans bit for bit.
-    """
-    probs = forward_flat(model, val_enc.ids, val_enc.flags)[2]
+def validation_f1(model: TaggerModel, val_enc: EncodedTokens, val_gold: np.ndarray,
+                  work: tuple = (None, None)) -> float:
+    """Span micro-F1 of argmax predictions over a pre-encoded validation set
+    (positions in `model.rows`) and its gold keys from `validation_set`;
+    `evaluation.span_f1` over `decode_bio` spans bit for bit.  The forward
+    pass writes into the features and hidden arrays `work`, if given."""
+    probs = _forward(model, _features(model, val_enc.ids, val_enc.flags, work[0]), work[1])[2]
     tags = np.argmax(probs, axis=1)
     pred = evaluation.bio_span_keys(tags, val_enc.offsets, model.scheme)
     return evaluation.key_scores(pred, val_gold, model.scheme).f1
 
 
 class StageTable:
-    """One training stage's inputs, built once, on a compact embedding table.
-
-    A stage reads only the embedding rows of its training and validation
-    tokens and updates only those of its training tokens.  `rows` holds
-    their sorted unique bucket ids.  `enc` and `val_enc` are the stage's
-    encodings with every id replaced by its position in `rows`, and `work`
-    is a copy of `model` whose table holds just those rows, so the stage's
-    model copies (best model, teacher) are small.  Training `work` gives the
-    full model's numbers bit for bit: a remapped id gathers the same row,
-    and the remap keeps the order of every set of unique ids.
-    """
+    """One training stage's inputs, built once: `model`, holding the `held`
+    rows of the training and validation tokens, their encodings by position,
+    and the arrays each validation's forward pass reuses (`val_work`)."""
 
     def __init__(self, model: TaggerModel, enc: EncodedTokens, val: Corpus,
                  config: TaggerConfig):
         val_enc, self.val_gold = validation_set(val, config)
         self.model = model
-        self.rows = np.unique(np.concatenate([enc.ids.reshape(-1), val_enc.ids.reshape(-1)]))
-        self.enc, self.val_enc = self._remap(enc), self._remap(val_enc)
-        self.work = model.compact(self.rows)
-
-    def _remap(self, enc: EncodedTokens) -> EncodedTokens:
-        return EncodedTokens(np.searchsorted(self.rows, enc.ids), enc.flags, enc.offsets)
+        self.enc, self.val_enc = model.positions(enc, val_enc)
+        self.held = model.rows.size
+        tokens = self.val_enc.ids.shape[0]
+        self.val_work = np.empty((tokens, config.input_dim)), np.empty((tokens, config.hidden_dim))
 
 
 def fit(table: StageTable, targets: Callable[..., np.ndarray],
@@ -464,27 +469,26 @@ def fit(table: StageTable, targets: Callable[..., np.ndarray],
         ) -> tuple[TaggerModel, StageTrace]:
     """The mini-batch SGD loop of every training stage.
 
-    Trains `table.work`.  Each epoch shuffles the sentences of `table.enc`
-    with the `stream` RNG of config.seed and gathers their ids and flags in
-    that order once; each batch is then a contiguous slice of them.  One SGD
-    step per batch goes towards `targets(tok, ids, flags)`, the (len(tok), C)
-    target rows of the batch's flat token indices `tok`, whose remapped ids
-    and flags are `ids` and `flags`.  Validation span micro-F1 follows.
-    After each epoch, in this order: the best iteration so far is selected
-    (the starting model is iteration 0 and a tie keeps the earlier one),
-    `after_epoch(epoch, table.work)` runs and its truthy return is recorded
-    as a teacher refresh, and the stage stops once `patience` epochs in a
-    row have not improved.  The selected parameters are written into
-    `table.model`, which is also returned.
-    """
-    enc, work = table.enc, table.work
+    Trains `table.model` in place and returns it.  Each epoch shuffles the
+    sentences of `table.enc` with the `stream` RNG of config.seed and
+    gathers their ids and flags in that order once; each batch is then a
+    contiguous slice of them.  One SGD step per batch goes towards
+    `targets(tok, ids, flags)`, the (len(tok), C) target rows of the batch's
+    flat token indices `tok`, whose embedding positions and flags are `ids`
+    and `flags`.  Validation span micro-F1 follows.  After each epoch, in
+    this order: the best iteration so far is selected (the starting model
+    is iteration 0 and a tie keeps the earlier one), `after_epoch(epoch,
+    model)` runs (adding no rows) and its truthy return is recorded as a
+    teacher refresh, and the stage stops once `patience` epochs in a row
+    have not improved.  The model ends holding the selected iteration's
+    parameters."""
+    enc, model, val = table.enc, table.model, (table.val_enc, table.val_gold, table.val_work)
     n = len(enc)
     if not n:
         raise ValueError("empty training data")
     rng = seeded_rng(config.seed, stream)
-    trace = StageTrace(stage, [validation_f1(work, table.val_enc, table.val_gold)],
-                       rows=table.rows)
-    best, since_best = work.copy(), 0
+    trace = StageTrace(stage, [validation_f1(model, *val)])
+    best, since_best = model.copy(), 0
     bounds = np.zeros(n + 1, dtype=np.intp)
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
@@ -498,24 +502,27 @@ def fit(table: StageTable, targets: Callable[..., np.ndarray],
             stop = min(start + config.batch_size, n)
             batch = slice(bounds[start], bounds[stop])
             loss, grads = flat_loss_and_grads(
-                work, ids[batch], flags[batch],
+                model, ids[batch], flags[batch],
                 targets(tok[batch], ids[batch], flags[batch]),
                 sentence_weights(sizes[start:stop]))
-            sgd_step(work, grads, config.learning_rate)
+            sgd_step(model, grads, config.learning_rate)
             total += loss * (stop - start)
         trace.losses.append(total / n)
-        trace.val_f1.append(validation_f1(work, table.val_enc, table.val_gold))
+        trace.val_f1.append(validation_f1(model, *val))
         if trace.val_f1[-1] > trace.best_f1:
             trace.best_iteration, since_best = epoch, 0
-            best.load_from(work)
+            best.load_from(model)
         else:
             since_best += 1
-        if after_epoch is not None and after_epoch(epoch, work):
+        if after_epoch is not None and after_epoch(epoch, model):
             trace.refresh_epochs.append(epoch)
+        if model.rows.size != table.held:
+            raise RuntimeError("after_epoch added embedding rows; the stage's positions are stale")
         if patience is not None and since_best >= patience:
             trace.stopped_early = True
             break
-    return table.model.write_rows(best, table.rows), trace
+    model.load_from(best)
+    return model, trace
 
 
 def train(model: TaggerModel, data, val: Corpus,
@@ -534,14 +541,12 @@ def train(model: TaggerModel, data, val: Corpus,
 
 
 def save_checkpoint(model: TaggerModel, path: str) -> None:
-    """Versioned npz checkpoint: magic, config echo, categories, parameters."""
+    """Versioned npz checkpoint: magic, config echo, categories, full parameters."""
     np.savez(path,
              magic=np.array(CHECKPOINT_MAGIC),
-             config=np.array(json.dumps(dataclasses.asdict(model.config),
-                                        sort_keys=True)),
+             config=np.array(json.dumps(dataclasses.asdict(model.config), sort_keys=True)),
              categories=np.array(list(model.scheme.categories)),
-             embed=model.embed, w1=model.w1, b1=model.b1,
-             w2=model.w2, b2=model.b2)
+             embed=model.full_embed(), w1=model.w1, b1=model.b1, w2=model.w2, b2=model.b2)
 
 
 def load_checkpoint(path: str) -> TaggerModel:
@@ -552,6 +557,5 @@ def load_checkpoint(path: str) -> TaggerModel:
         echo.pop("halve_on_plateau", None)  # retired training-only field
         config = TaggerConfig(**echo)
         scheme = LabelScheme(tuple(str(c) for c in z["categories"]))
-        return TaggerModel(config, scheme, z["embed"].copy(),
-                           z["w1"].copy(), z["b1"].copy(),
-                           z["w2"].copy(), z["b2"].copy())
+        return TaggerModel(config, scheme, np.arange(config.hash_buckets),
+                           *(z[name].copy() for name in ("embed", "w1", "b1", "w2", "b2")))

@@ -7,6 +7,7 @@ import os
 import shutil
 import sys
 
+import numpy as np
 import pytest
 
 from partialner import cli
@@ -17,6 +18,60 @@ from partialner.tagger import load_checkpoint
 
 FAST_TAGGER = {"embed_dim": 8, "window": 1, "hidden_dim": 12, "hash_buckets": 1024,
                "learning_rate": 0.3, "max_epochs": 4, "patience": 4}
+# SHA-256 of (dtype, shape) and the bytes of each checkpoint array that
+# `train --seed 0` writes on the `workdir` corpora, per method
+PINNED_CHECKPOINTS = {
+    "supervised": {
+        "magic": "0bde8dc54a2b8e6e8a76300a00d97569d2d03564b92e54ee6a103567964850ec",
+        "config": "a401b4daf77003ac432ad8683a7e0c09edcdca047f1a6f3d6dd91487c4f48bdc",
+        "categories": "1f2a8669ea101fb40392b5ed2791aec6087eda4febe8525e4943f96c69efe89d",
+        "embed": "f5ec691ccb6287560d6ed13d05e48d73ad8d450e69428e21c2d4176252ef7511",
+        "w1": "2458cf7cd86184cedd6fef9c5e5a616862668dcf667223689f21d473e73383f2",
+        "b1": "96e171a2720623c96ff79723292e1dafc52d40729c196142b4d25648a00d2e8c",
+        "w2": "6ece88fa41b900e28b4d582ca843f6b3cd5f44d35efaae75c405788bd210f512",
+        "b2": "6a8d090781b09fbc8fe9426ae3646aaa1cac46270cc57c8838a2cdf402ecd146",
+    },
+    "bond": {
+        "magic": "0bde8dc54a2b8e6e8a76300a00d97569d2d03564b92e54ee6a103567964850ec",
+        "config": "a401b4daf77003ac432ad8683a7e0c09edcdca047f1a6f3d6dd91487c4f48bdc",
+        "categories": "1f2a8669ea101fb40392b5ed2791aec6087eda4febe8525e4943f96c69efe89d",
+        "embed": "f5ec691ccb6287560d6ed13d05e48d73ad8d450e69428e21c2d4176252ef7511",
+        "w1": "2458cf7cd86184cedd6fef9c5e5a616862668dcf667223689f21d473e73383f2",
+        "b1": "96e171a2720623c96ff79723292e1dafc52d40729c196142b4d25648a00d2e8c",
+        "w2": "6ece88fa41b900e28b4d582ca843f6b3cd5f44d35efaae75c405788bd210f512",
+        "b2": "6a8d090781b09fbc8fe9426ae3646aaa1cac46270cc57c8838a2cdf402ecd146",
+    },
+    "guided_bond": {
+        "magic": "0bde8dc54a2b8e6e8a76300a00d97569d2d03564b92e54ee6a103567964850ec",
+        "config": "a401b4daf77003ac432ad8683a7e0c09edcdca047f1a6f3d6dd91487c4f48bdc",
+        "categories": "1f2a8669ea101fb40392b5ed2791aec6087eda4febe8525e4943f96c69efe89d",
+        "embed": "f5ec691ccb6287560d6ed13d05e48d73ad8d450e69428e21c2d4176252ef7511",
+        "w1": "2458cf7cd86184cedd6fef9c5e5a616862668dcf667223689f21d473e73383f2",
+        "b1": "96e171a2720623c96ff79723292e1dafc52d40729c196142b4d25648a00d2e8c",
+        "w2": "6ece88fa41b900e28b4d582ca843f6b3cd5f44d35efaae75c405788bd210f512",
+        "b2": "6a8d090781b09fbc8fe9426ae3646aaa1cac46270cc57c8838a2cdf402ecd146",
+    },
+    "bde:guided_bond+supervised": {
+        "magic": "0bde8dc54a2b8e6e8a76300a00d97569d2d03564b92e54ee6a103567964850ec",
+        "config": "298afaa238a5e2fb6af94f3fecb17ab62d75675b71ecffd0ca33face5bbfa31f",
+        "categories": "1f2a8669ea101fb40392b5ed2791aec6087eda4febe8525e4943f96c69efe89d",
+        "embed": "85fdff5cf477f6030bd2936397c7304f9d365fb95eb9b72022baf351661d529e",
+        "w1": "a38d7e59286f2cc839974474eb7394799a34bb94c20f3fe4d2190240ccd743c3",
+        "b1": "96e171a2720623c96ff79723292e1dafc52d40729c196142b4d25648a00d2e8c",
+        "w2": "3fd9fb98281ccaabe0e116fc9c8870c2c8ef36f7ee56b8f5d5221e57a2bb8625",
+        "b2": "6a8d090781b09fbc8fe9426ae3646aaa1cac46270cc57c8838a2cdf402ecd146",
+    },
+    "bde:guided_bond+guided_bond": {
+        "magic": "0bde8dc54a2b8e6e8a76300a00d97569d2d03564b92e54ee6a103567964850ec",
+        "config": "298afaa238a5e2fb6af94f3fecb17ab62d75675b71ecffd0ca33face5bbfa31f",
+        "categories": "1f2a8669ea101fb40392b5ed2791aec6087eda4febe8525e4943f96c69efe89d",
+        "embed": "85fdff5cf477f6030bd2936397c7304f9d365fb95eb9b72022baf351661d529e",
+        "w1": "a38d7e59286f2cc839974474eb7394799a34bb94c20f3fe4d2190240ccd743c3",
+        "b1": "96e171a2720623c96ff79723292e1dafc52d40729c196142b4d25648a00d2e8c",
+        "w2": "3fd9fb98281ccaabe0e116fc9c8870c2c8ef36f7ee56b8f5d5221e57a2bb8625",
+        "b2": "6a8d090781b09fbc8fe9426ae3646aaa1cac46270cc57c8838a2cdf402ecd146",
+    },
+}
 
 
 def read_corpus(path):
@@ -118,10 +173,16 @@ class TestExitCodes:
         ({"synth": {"n_sentences": "x"}}, "synth: n_sentences must be int, got 'x'"),
         ({"synth": {"categories": "PER"}}, "synth: categories must be tuple[str, ...], got 'PER'"),
         ({"mask_seed": "a"}, "mask_seed must be int, got 'a'"),
+        ({"synth": {"n_sentences": 0}}, "synth: n_sentences must be >= 1"),
+        ({"synth": {"gazetteers": {"PER": "Bob"}}},
+         "synth: gazetteers must be Mapping[str, tuple[str, ...]] | None, got {'PER': 'Bob'}"),
+        ({"synth": {"gazetteers": ["PER"]}},
+         "synth: gazetteers must be Mapping[str, tuple[str, ...]] | None, got ['PER']"),
     ], ids=["self-train-epochs-0", "refresh-period-0", "patience-0", "seeds-string",
             "self-train-epochs-float", "max-epochs-float", "dev-sentences-0",
             "fractions-number", "synth-list", "synth-n-sentences-string",
-            "synth-categories-string", "mask-seed-string"])
+            "synth-categories-string", "mask-seed-string", "synth-n-sentences-0",
+            "synth-gazetteer-string", "synth-gazetteers-list"])
     def test_bad_experiment_config_is_usage_error(self, tmp_path, capsys, config, message):
         # rejected before any cell runs, not reported per cell with exit 0
         bad = tmp_path / "experiment.json"
@@ -157,6 +218,12 @@ class TestSynthAndMask:
         corpus = read_corpus(workdir / "train.conll")
         assert len(corpus) == 40
         assert corpus.total_entities() > 0
+
+    def test_synth_writes_an_empty_corpus(self, tmp_path, capsys):
+        out = tmp_path / "empty.conll"
+        assert cli.main(["synth", "--out", str(out), "--n-sentences", "0"]) == 0
+        assert "wrote 0 sentences" in capsys.readouterr().out
+        assert out.read_text().strip() == ""
 
     def test_synth_is_deterministic_per_seed(self, workdir, tmp_path, capsys):
         rc = cli.main(["synth", "--out", str(tmp_path / "again.conll"),
@@ -243,6 +310,22 @@ class TestTrainAndEval:
             "0d721eed8ad8e7be766d44abd37de774401747134ffb92c2749f1819d30b3333"
         assert digest("lineage.csv") == \
             "ed15e5d717956e98e6b4304af01da018fd628ef3e915f10716abeb508f0a07d4"
+
+    @pytest.mark.parametrize("method", list(PINNED_CHECKPOINTS))
+    def test_checkpoint_arrays_are_pinned(self, workdir, tmp_path, capsys, method):
+        """Every array of the checkpoint `train` writes, byte for byte."""
+        rc = cli.main(["train", "--method", method,
+                       "--train", str(workdir / "masked.conll"),
+                       "--dev", str(workdir / "dev.conll"),
+                       "--config", str(workdir / "train_config.json"),
+                       "--seed", "0", "--out", str(tmp_path)])
+        assert rc == 0
+        capsys.readouterr()
+        with np.load(tmp_path / "checkpoint.npz", allow_pickle=False) as z:
+            got = {name: hashlib.sha256(repr((z[name].dtype.str, z[name].shape)).encode()
+                                        + z[name].tobytes()).hexdigest()
+                   for name in z.files}
+        assert got == PINNED_CHECKPOINTS[method]
 
     def test_eval_stdout(self, workdir, trained, capsys):
         rc = cli.main(["eval", str(trained / "checkpoint.npz"),

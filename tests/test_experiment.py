@@ -407,21 +407,50 @@ class TestStagesTrainedOnce:
         assert all(stage == "hard_fit" for stage, n in calls if n < n_train)
 
     @pytest.mark.parametrize("method", FULL_METHODS)
-    def test_no_full_table_copy_in_a_cell(self, small_splits, monkeypatch, method):
+    def test_no_full_table_copy_in_a_cell(self, small_splits, rows_spy, method):
         train, dev, test = small_splits
         cfg = smoke_config(tagger=fast_tagger(hash_buckets=1 << 14))
-        copied = []
-        real = tagger.TaggerModel.copy
-
-        def spy(model):
-            copied.append(model.embed.shape[0])
-            return real(model)
-        monkeypatch.setattr(tagger.TaggerModel, "copy", spy)
         partial, kept = mask_entities(train, 0.3, cfg.mask_seed)
         rec = run_cell(MethodSpec.parse(method), partial, len(kept), dev, test, cfg, 0.3, 0)
         assert rec.error == ""
-        assert copied  # the stages' compact copies
-        assert cfg.tagger.hash_buckets not in copied
+        held = rows_spy()
+        assert max(held) > 0  # the models drew the rows their tokens need ...
+        assert max(held) < cfg.tagger.hash_buckets  # ... and never the full table
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_model_in_a_run_holds_the_full_table(self, tmp_path, rows_spy, workers):
+        cfg = smoke_config(methods=FULL_METHODS, workers=workers,
+                           tagger=fast_tagger(hash_buckets=1 << 14))
+        rows = read_rows(run_experiment(cfg, str(tmp_path / "run")))[1:]
+        assert all(r[RESULT_COLUMNS.index("error")] == "" for r in rows)
+        held = rows_spy()
+        assert max(held) > 0
+        assert max(held) < cfg.tagger.hash_buckets
+
+
+@pytest.fixture
+def rows_spy(monkeypatch, tmp_path):
+    """The number of embedding rows every model held, after each
+    construction and each `positions` call in this test, pool workers
+    included: forked workers inherit the spies and append to one file."""
+    log = tmp_path / "rows_spy.log"
+    real_init, real_positions = tagger.TaggerModel.__init__, tagger.TaggerModel.positions
+
+    def record(model):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{model.rows.size}\n")
+
+    def init(model, *args, **kwargs):
+        real_init(model, *args, **kwargs)
+        record(model)
+
+    def positions(model, *encs):
+        out = real_positions(model, *encs)
+        record(model)
+        return out
+    monkeypatch.setattr(tagger.TaggerModel, "__init__", init)
+    monkeypatch.setattr(tagger.TaggerModel, "positions", positions)
+    return lambda: [int(n) for n in log.read_text().split()]
 
 
 class TestDefaultWorkers:

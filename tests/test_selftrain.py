@@ -28,6 +28,11 @@ def bits(arr):
     return arr.view(np.int64) if arr.dtype == np.float64 else arr
 
 
+def full_params(model):
+    """Every parameter by name, with the embedding table in full."""
+    return {**model.params(), "embed": model.full_embed()}
+
+
 def fast_config(**overrides) -> SelfTrainConfig:
     tagger_overrides = overrides.pop("tagger", {})
     tcfg = TaggerConfig(embed_dim=8, window=1, hidden_dim=12, hash_buckets=1024,
@@ -102,8 +107,8 @@ class TestSelfTrain:
         start = init.copy()
         model, trace = self_train(init, masked, val, cfg)
         assert model is init
-        for name, arr in model.params().items():
-            np.testing.assert_array_equal(arr, start.params()[name])
+        for name, arr in full_params(model).items():
+            np.testing.assert_array_equal(arr, full_params(start)[name])
         assert trace.best_iteration == 0
         assert len(set(trace.val_f1)) == 1
 
@@ -164,10 +169,10 @@ class TestClosedFormStage:
             runs[name] = fn(start, masked, val, fast_config(self_train_epochs=6, **overrides))
         (closed, closed_trace), (loop, loop_trace) = runs["closed"], runs["loop"]
         assert closed is init  # returned unchanged: the snapshot's bits
-        for key, arr in before.params().items():
-            assert np.array_equal(bits(closed.params()[key]), bits(arr)), key
-        for key, arr in loop.params().items():
-            assert np.array_equal(bits(closed.params()[key]), bits(arr)), key
+        for key, arr in full_params(before).items():
+            assert np.array_equal(bits(full_params(closed)[key]), bits(arr)), key
+        for key, arr in full_params(loop).items():
+            assert np.array_equal(bits(full_params(closed)[key]), bits(arr)), key
         assert [f.hex() for f in closed_trace.val_f1] == [f.hex() for f in loop_trace.val_f1]
         assert closed_trace.refresh_epochs == loop_trace.refresh_epochs
         assert closed_trace.best_iteration == loop_trace.best_iteration == 0
@@ -196,7 +201,7 @@ class TestClosedFormStage:
 
 def params_digest(model):
     h = hashlib.sha256()
-    for name, arr in model.params().items():
+    for name, arr in full_params(model).items():
         h.update(name.encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
@@ -307,10 +312,10 @@ class TestStageTable:
         outside = np.setdiff1d(np.arange(cfg.tagger.hash_buckets), inside)
         assert outside.size
         assert model is init_model  # trained in place; `start` is its snapshot
-        np.testing.assert_array_equal(trace.rows, inside)
-        assert model.embed.shape == start.embed.shape
-        np.testing.assert_array_equal(bits(model.embed[outside]), bits(start.embed[outside]))
-        assert not np.array_equal(model.embed[inside], start.embed[inside])
+        np.testing.assert_array_equal(model.rows, inside)  # the rows the stage read
+        np.testing.assert_array_equal(bits(model.full_embed()[outside]),
+                                      bits(start.full_embed()[outside]))
+        assert not np.array_equal(model.full_embed()[inside], start.full_embed()[inside])
 
 
 class TestRunMethod:
@@ -340,16 +345,16 @@ class TestRunMethod:
         sup = run_method("supervised", masked, val, fast_config())
         bond = run_method("bond", masked, val, fast_config())
         assert bond.val_f1 == sup.val_f1
-        for name, arr in bond.model.params().items():
-            np.testing.assert_array_equal(arr, sup.model.params()[name])
+        for name, arr in full_params(bond.model).items():
+            np.testing.assert_array_equal(arr, full_params(sup.model)[name])
 
     def test_guided_bond_departs_from_bond(self, splits, masked):
         _, val = splits
         bond = run_method("bond", masked, val, fast_config())
         guided = run_method("guided_bond", masked, val, fast_config())
         different = any(
-            not np.array_equal(arr, bond.model.params()[name])
-            for name, arr in guided.model.params().items())
+            not np.array_equal(arr, full_params(bond.model)[name])
+            for name, arr in full_params(guided.model).items())
         assert different
 
     def test_guided_bond_keeps_full_annotation_quality(self, splits):
@@ -372,12 +377,12 @@ def soft_targets(partial, scheme, smoothing=0.0):
 
 def assert_same_fit(got, want):
     (model, trace), (want_model, want_trace) = got, want
-    for name, arr in want_model.params().items():
-        np.testing.assert_array_equal(bits(model.params()[name]), bits(arr), err_msg=name)
+    for name, arr in full_params(want_model).items():
+        np.testing.assert_array_equal(bits(full_params(model)[name]), bits(arr), err_msg=name)
     assert trace == want_trace
     assert [f.hex() for f in trace.val_f1] == [f.hex() for f in want_trace.val_f1]
     assert [f.hex() for f in trace.losses] == [f.hex() for f in want_trace.losses]
-    np.testing.assert_array_equal(trace.rows, want_trace.rows)
+    np.testing.assert_array_equal(model.rows, want_model.rows)
 
 
 class TestStageMemo:
@@ -440,7 +445,7 @@ class TestStageMemo:
             model.embed.fill(0.0)
             model.w1.fill(0.0)
             trace.val_f1.clear()
-            trace.rows.fill(0)
+            model.rows.fill(0)
         assert_same_fit(selftrain._memo_fit("guided_bond", masked, val, cfg, soft), want)
 
     def test_bond_then_guided_bond_twice_trains_twice(self, splits, masked, stage_spy):
@@ -449,8 +454,8 @@ class TestStageMemo:
                 for m in ("bond", "guided_bond", "bond", "guided_bond")]
         assert stage_spy() == [("hard_fit", len(masked))] * 2
         for a, b in zip(outs[:2], outs[2:]):
-            for name, arr in a.model.params().items():
-                np.testing.assert_array_equal(bits(b.model.params()[name]), bits(arr))
+            for name, arr in full_params(a.model).items():
+                np.testing.assert_array_equal(bits(full_params(b.model)[name]), bits(arr))
 
     @pytest.mark.parametrize("change,hit", [
         ("guidance", True),

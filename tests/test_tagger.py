@@ -11,6 +11,7 @@ from partialner.annotation import one_hot_rows
 from partialner.corpus import (Corpus, LabelScheme, Sentence, SynthConfig, decode_bio,
                                generate_synthetic)
 from partialner.evaluation import evaluate_model, span_f1
+from partialner.rng import STREAM_INIT, seeded_rng
 from partialner.tagger import (
     BOUNDARY_TOKEN,
     LOG_FLOOR,
@@ -25,8 +26,10 @@ from partialner.tagger import (
     TaggerModel,
     encode_tokens,
     finite_difference_check,
+    fit,
     flat_loss_and_grads,
     forward_flat,
+    initial_rows,
     load_checkpoint,
     save_checkpoint,
     sentence_weights,
@@ -35,6 +38,11 @@ from partialner.tagger import (
     validation_f1,
     validation_set,
 )
+
+
+def full_params(model):
+    """Every parameter by name, with the embedding table in full."""
+    return {**model.params(), "embed": model.full_embed()}
 
 
 def soft_cross_entropy(predicted: np.ndarray, target: np.ndarray) -> float:
@@ -63,7 +71,7 @@ def distributions(model, sentence):
 
 def batch_loss_and_grads(model, sentences, targets):
     """Loss and gradients of the mean per-sentence cross entropy of a batch."""
-    enc = encode_tokens([s.tokens for s in sentences], model.config)
+    (enc,) = model.positions(encode_tokens([s.tokens for s in sentences], model.config))
     return flat_loss_and_grads(model, enc.ids, enc.flags, np.concatenate(targets),
                                sentence_weights(enc.lengths))
 
@@ -187,11 +195,48 @@ class TestEncoderMatchesReference:
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
+class TestInitialRows:
+    """Rows drawn on demand are the full draw's, and w1 and w2 follow it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**63), buckets=st.integers(1, 300),
+           embed_dim=st.integers(1, 6), data=st.data())
+    def test_equal_to_the_full_draw(self, scheme, seed, buckets, embed_dim, data):
+        cfg = TaggerConfig(embed_dim=embed_dim, window=0, hidden_dim=3,
+                           hash_buckets=buckets, seed=seed)
+        some = data.draw(st.sets(st.integers(0, buckets - 1), max_size=40))
+        edges = data.draw(st.sampled_from(
+            [(), (0,), (buckets - 1,), (0, buckets - 1), tuple(range(buckets))]))
+        rows = np.array(sorted(some | set(edges)), dtype=np.int64)
+        rng = seeded_rng(seed, STREAM_INIT)
+        full = rng.uniform(-1, 1, (buckets, embed_dim))
+        w1 = rng.uniform(-1 / np.sqrt(cfg.input_dim), 1 / np.sqrt(cfg.input_dim),
+                         (cfg.input_dim, cfg.hidden_dim))
+        w2 = rng.uniform(-1 / np.sqrt(cfg.hidden_dim), 1 / np.sqrt(cfg.hidden_dim),
+                         (cfg.hidden_dim, scheme.tag_count))
+        assert_same_bits(initial_rows(cfg, rows), full[rows], "rows")
+        model = TaggerModel.init(cfg, scheme)
+        assert_same_bits(model.w1, w1, "w1")
+        assert_same_bits(model.w2, w2, "w2")
+        # two calls, so the second merges its rows into the first's
+        split = data.draw(st.integers(0, rows.size))
+        for part in (rows[split:], rows[:split]):
+            ids = data.draw(st.permutations(part.tolist()))
+            (enc,) = model.positions(EncodedTokens(
+                np.asarray(ids, dtype=np.int64).reshape(-1, 1), np.zeros((len(ids), 1, 2)),
+                np.array([0, len(ids)])))
+            np.testing.assert_array_equal(model.rows[enc.ids[:, 0]], ids)
+        np.testing.assert_array_equal(model.rows, rows)
+        assert_same_bits(model.embed, full[rows], "embed")
+        assert_same_bits(model.full_embed(), full, "table")
+
+
 class TestModel:
     def test_init_shapes_and_zero_biases(self, scheme):
         cfg = small_config()
         model = TaggerModel.init(cfg, scheme)
-        assert model.embed.shape == (cfg.hash_buckets, cfg.embed_dim)
+        assert model.rows.size == 0  # rows are drawn when a token first needs them
+        assert model.full_embed().shape == (cfg.hash_buckets, cfg.embed_dim)
         assert model.w1.shape == (cfg.input_dim, cfg.hidden_dim)
         assert model.w2.shape == (cfg.hidden_dim, scheme.tag_count)
         assert not model.b1.any()
@@ -208,8 +253,8 @@ class TestModel:
         cfg = small_config()
         model = TaggerModel.init(cfg, scheme)
         # embedding rows start at unit scale, hidden weights at 1/sqrt(fan_in)
-        assert np.abs(model.embed).max() <= 1.0
-        assert np.abs(model.embed).max() > 1.0 / np.sqrt(cfg.input_dim)
+        assert np.abs(model.full_embed()).max() <= 1.0
+        assert np.abs(model.full_embed()).max() > 1.0 / np.sqrt(cfg.input_dim)
         assert np.abs(model.w1).max() <= 1.0 / np.sqrt(cfg.input_dim)
 
     def test_copy_is_deep(self, scheme):
@@ -297,12 +342,13 @@ class TestGradients:
         sents = [make_sentence("Anna met Bob", PER=[(0, 1), (2, 3)])]
         targets = one_hot_targets(sents, scheme)
         g = batch_loss_and_grads(model, sents, targets)[1]
-        before = {k: v.copy() for k, v in model.params().items()}
+        before = {k: v.copy() for k, v in full_params(model).items()}
         sgd_step(model, g, 0.1)
         np.testing.assert_array_equal(model.w1, before["w1"] - 0.1 * g.w1)
         np.testing.assert_array_equal(model.b2, before["b2"] - 0.1 * g.b2)
-        dense = g.dense_embed(model.config.hash_buckets)
-        np.testing.assert_array_equal(model.embed, before["embed"] - 0.1 * dense)
+        dense = np.zeros_like(before["embed"])
+        dense[model.rows[g.embed_ids]] = g.embed_rows
+        np.testing.assert_array_equal(model.full_embed(), before["embed"] - 0.1 * dense)
 
     def test_sgd_step_touches_only_seen_buckets(self, scheme, make_sentence):
         model = TaggerModel.init(small_config(), scheme)
@@ -354,13 +400,13 @@ class TestEmbeddingScatter:
                                                   seed=trial), scheme)
             lengths = rng.integers(1, 5, size=rng.integers(1, 12))
             seqs = [tuple(rng.choice(vocab, size=n)) for n in lengths]
-            enc = encode_tokens(seqs, cfg)
+            (enc,) = model.positions(encode_tokens(seqs, cfg))
             targets = rng.dirichlet(np.ones(scheme.tag_count), size=enc.ids.shape[0])
             scale = np.where(rng.random(lengths.size) < 0.2, 0.0, 1.0 / lengths.size)
             weights = np.repeat(scale / lengths, lengths)
             got = flat_loss_and_grads(model, enc.ids, enc.flags, targets, weights)[1]
             uniq, rows = add_at_embed_grads(model, enc.ids, enc.flags, targets, weights)
-            assert boundary in got.embed_ids
+            assert boundary in model.rows[got.embed_ids]
             assert np.array_equal(got.embed_ids, uniq)
             assert np.array_equal(got.embed_rows.view(np.int64), rows.view(np.int64))
 
@@ -431,9 +477,17 @@ def step_batch(rng, tokens, total, tag_count):
     return seqs, weights, targets
 
 
+def holding_every_row(model):
+    """The same model holding its full embedding table, as a loaded
+    checkpoint does: there a position is a bucket id."""
+    return TaggerModel(model.config, model.scheme, np.arange(model.config.hash_buckets),
+                       model.full_embed(), model.w1.copy(), model.b1.copy(),
+                       model.w2.copy(), model.b2.copy())
+
+
 class TestStepMatchesReference:
     """One SGD step gives the reference step's numbers bit for bit, on a
-    full-table model and on a stage's compact one."""
+    model holding its full table and on one holding a stage's rows."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -447,12 +501,12 @@ class TestStepMatchesReference:
         val = Corpus(corpus.sentences[:5], corpus.scheme, "val")
         cfg = TaggerConfig(embed_dim=32, window=window, hidden_dim=64,
                            hash_buckets=buckets, seed=window)
-        full = TaggerModel.init(cfg, scheme)
+        full = holding_every_row(TaggerModel.init(cfg, scheme))
         for total in (1, 2, 7, 199, 1000):
             seqs, weights, targets = step_batch(rng, tokens, total, scheme.tag_count)
             enc = encode_tokens(seqs, cfg)
-            table = StageTable(full, enc, val, cfg)
-            for model, e in ((full, enc), (table.work, table.enc)):
+            table = StageTable(TaggerModel.init(cfg, scheme), enc, val, cfg)
+            for model, e in ((full, enc), (table.model, table.enc)):
                 case = f"T={total} rows={model.embed.shape[0]}"
                 for got, want, name in zip(forward_flat(model, e.ids, e.flags),
                                            reference_forward_flat(model, e.ids, e.flags),
@@ -491,11 +545,12 @@ class TestValidationF1:
         val_enc, val_gold = validation_set(val, small_config())
         scores = set()
         for model in models:
-            probs = forward_flat(model, val_enc.ids, val_enc.flags)[2]
+            (enc,) = model.positions(val_enc)
+            probs = forward_flat(model, enc.ids, enc.flags)[2]
             pred = [decode_bio(np.argmax(probs[a:b], axis=1).tolist(), val.scheme)
                     for a, b in zip(val_enc.offsets[:-1], val_enc.offsets[1:])]
             want = span_f1(pred, val.gold_spans()).f1
-            got = validation_f1(model, val_enc, val_gold)
+            got = validation_f1(model, enc, val_gold)
             assert got.hex() == want.hex()
             scores.add(got)
         assert len(scores) >= 4  # the models really disagree
@@ -553,8 +608,8 @@ class TestTrain:
                            hash_buckets=1024, max_epochs=3, patience=3, seed=4)
         a, _ = train(TaggerModel.init(cfg, scheme), trn, val, cfg)
         b, _ = train(TaggerModel.init(cfg, scheme), trn, val, cfg)
-        for name, arr in a.params().items():
-            np.testing.assert_array_equal(arr, b.params()[name])
+        for name, arr in full_params(a).items():
+            np.testing.assert_array_equal(arr, full_params(b)[name])
 
     def test_patience_stops_unlearnable_run(self, scheme):
         trn, val = unlearnable_splits(scheme)
@@ -572,8 +627,8 @@ class TestTrain:
         assert trace.best_iteration == 0
         assert trace.best_epoch == -1
         assert trace.best_f1 == trace.val_f1[0]
-        for name, arr in model.params().items():
-            np.testing.assert_array_equal(arr, frozen.params()[name])
+        for name, arr in full_params(model).items():
+            np.testing.assert_array_equal(arr, full_params(frozen)[name])
 
     def test_soft_one_hots_match_hard_training(self, scheme, learnable):
         trn, val = learnable
@@ -586,8 +641,8 @@ class TestTrain:
                            hash_buckets=1024, max_epochs=3, patience=3, seed=2)
         hard_model, _ = train(TaggerModel.init(cfg, scheme), subset, val, cfg)
         soft_model, _ = train(TaggerModel.init(cfg, scheme), soft, val, cfg)
-        for name, arr in hard_model.params().items():
-            np.testing.assert_array_equal(arr, soft_model.params()[name])
+        for name, arr in full_params(hard_model).items():
+            np.testing.assert_array_equal(arr, full_params(soft_model)[name])
 
     def test_empty_data_rejected(self, scheme):
         _, val = unlearnable_splits(scheme)
@@ -623,16 +678,36 @@ class TestStageTable:
         trn, val = learnable
         cfg = small_config(hash_buckets=4096)
         model = TaggerModel.init(cfg, scheme)
+        full = model.full_embed()
         enc = encode_tokens([s.tokens for s in trn.sentences], cfg)
         table = StageTable(model, enc, val, cfg)
+        assert table.model is model
         np.testing.assert_array_equal(
-            table.rows, stage_buckets([s.tokens for s in trn.sentences], val, cfg))
-        assert table.rows.size < cfg.hash_buckets
-        np.testing.assert_array_equal(table.rows[table.enc.ids], enc.ids)
+            model.rows, stage_buckets([s.tokens for s in trn.sentences], val, cfg))
+        assert model.rows.size < cfg.hash_buckets
+        np.testing.assert_array_equal(model.rows[table.enc.ids], enc.ids)
         val_enc = encode_tokens([s.tokens for s in val.sentences], cfg)
-        np.testing.assert_array_equal(table.rows[table.val_enc.ids], val_enc.ids)
-        np.testing.assert_array_equal(table.work.embed, model.embed[table.rows])
-        assert table.work.embed.base is None  # a copy: the stage never writes `model` early
+        np.testing.assert_array_equal(model.rows[table.val_enc.ids], val_enc.ids)
+        np.testing.assert_array_equal(model.embed, full[model.rows])
+        np.testing.assert_array_equal(model.full_embed(), full)
+
+    def test_an_epoch_hook_that_adds_rows_stops_the_stage(self, scheme, learnable):
+        # new rows re-sort `model.rows`, so the stage's positions would
+        # silently gather other rows
+        trn, val = learnable
+        cfg = small_config(hash_buckets=4096)
+        enc = encode_tokens([s.tokens for s in trn.sentences], cfg)
+        table = StageTable(TaggerModel.init(cfg, scheme), enc, val, cfg)
+        hooked = []
+
+        def score_unseen(epoch, model):
+            hooked.append(epoch)
+            model.positions(encode_tokens([["an", "unseen", "sentence"]], cfg))
+
+        zeros = lambda tok, ids, flags: np.zeros((tok.size, scheme.tag_count))
+        with pytest.raises(RuntimeError, match="positions are stale"):
+            fit(table, zeros, cfg, "ner_fit", 0, 3, after_epoch=score_unseen)
+        assert hooked == [1]
 
     def test_rows_outside_the_stage_keep_their_bits(self, scheme, learnable):
         trn, val = learnable
@@ -644,9 +719,9 @@ class TestStageTable:
         inside = stage_buckets([s.tokens for s in trn.sentences], val, cfg)
         outside = np.setdiff1d(np.arange(cfg.hash_buckets), inside)
         assert outside.size
-        np.testing.assert_array_equal(model.embed[outside].view(np.int64),
-                                      start.embed[outside].view(np.int64))
-        assert not np.array_equal(model.embed[inside], start.embed[inside])
+        np.testing.assert_array_equal(model.full_embed()[outside].view(np.int64),
+                                      start.full_embed()[outside].view(np.int64))
+        assert not np.array_equal(model.full_embed()[inside], start.full_embed()[inside])
 
 
 class TestSoftDataset:
@@ -707,8 +782,8 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.config == model.config
         assert loaded.scheme.categories == model.scheme.categories
-        for name, arr in model.params().items():
-            np.testing.assert_array_equal(arr, loaded.params()[name])
+        for name, arr in full_params(model).items():
+            np.testing.assert_array_equal(arr, full_params(loaded)[name])
         sent = make_sentence("Anna met Bob in Paris")
         np.testing.assert_array_equal(distributions(model, sent), distributions(loaded, sent))
 
@@ -726,8 +801,8 @@ class TestCheckpoint:
         np.savez(old, **arrays)
         loaded = load_checkpoint(old)
         assert loaded.config == model.config
-        for name, arr in model.params().items():
-            np.testing.assert_array_equal(arr, loaded.params()[name])
+        for name, arr in full_params(model).items():
+            np.testing.assert_array_equal(arr, full_params(loaded)[name])
 
     def test_rejects_foreign_npz(self, tmp_path):
         path = str(tmp_path / "junk.npz")
