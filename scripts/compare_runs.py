@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
-"""Compare two experiment run directories byte for byte.
+"""Compare two run directories byte for byte.
 
     python3 scripts/compare_runs.py RUN_A RUN_B
 
-Compares `results.csv` (every column but `wall_ms`), `summary.md`,
-`config_echo.json`, and the names and bytes of every file under `lineage/`
-and `masks/`.  Prints one line per difference and exits 0 only when there
-is none, 1 otherwise.
+Compares the names and bytes of every file under the two directories, and
+`results.csv` in every column but `wall_ms`: an `experiment` run directory
+or a `train` output directory.  Prints one line per difference and exits 0
+only when there is none, 1 otherwise.
 """
 import argparse
 import csv
 import os
 import sys
 
-FILES = ("summary.md", "config_echo.json")
-DIRS = ("lineage", "masks")
 RESULTS = "results.csv"
 IGNORED_COLUMN = "wall_ms"
 
@@ -52,18 +50,18 @@ def _compare(a, b, name: str) -> list[str]:
             for i, (ra, rb) in enumerate(zip(a, b)) if ra != rb]
 
 
+def _files(run: str) -> set[str]:
+    """Every file under `run`, as a path relative to it with / separators."""
+    return {os.path.relpath(os.path.join(d, n), run).replace(os.sep, "/")
+            for d, _, names in os.walk(run) for n in names}
+
+
 def compare(run_a: str, run_b: str) -> list[str]:
     """Every difference between two run directories, one line each."""
-    diffs = _compare(_results_rows(os.path.join(run_a, RESULTS)),
-                     _results_rows(os.path.join(run_b, RESULTS)), RESULTS)
-    names = list(FILES)
-    for sub in DIRS:
-        for run in (run_a, run_b):
-            d = os.path.join(run, sub)
-            names += [f"{sub}/{n}" for n in os.listdir(d)] if os.path.isdir(d) else []
-    for name in dict.fromkeys(names):
-        diffs += _compare(_read_bytes(os.path.join(run_a, name)),
-                          _read_bytes(os.path.join(run_b, name)), name)
+    diffs = []
+    for name in sorted(_files(run_a) | _files(run_b)):
+        read = _results_rows if name == RESULTS else _read_bytes
+        diffs += _compare(read(os.path.join(run_a, name)), read(os.path.join(run_b, name)), name)
     return diffs
 
 

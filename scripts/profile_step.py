@@ -43,16 +43,14 @@ PARTS = ("teacher forward", "features", "x @ w1", "bias + tanh",
 
 
 def guided_stage(config_path: str, fraction: float, seed: int):
-    """The guided self-training stage of one cell: its table, its partial
-    corpus and its config, with the student trained by the first stage."""
+    """The guided self-training stage of one cell: its table and its partial
+    corpus, with the student trained by the first stage."""
     config = experiment.ExperimentConfig.from_json(config_path)
     train, dev, _ = experiment.load_corpora(config)
     partial, _ = annotation.mask_entities(train, fraction, config.mask_seed)
     st_cfg = replace(config.selftrain_config(seed), guidance=True)
     init_model, _ = selftrain.ner_fit(partial, dev, st_cfg)
-    cfg = st_cfg.tagger
-    encoded = tagger.encode_tokens([p.tokens for p in partial], cfg)
-    return tagger.StageTable(init_model, encoded, dev, cfg), partial, cfg
+    return tagger.StageTable(init_model, [p.tokens for p in partial], dev), partial
 
 
 def timed_step(student, teacher, ids, flags, tok, weights, known, labels, lr):
@@ -104,9 +102,10 @@ def timed_step(student, teacher, ids, flags, tok, weights, known, labels, lr):
     return np.diff(stamps).tolist() + [clock() - start]
 
 
-def profile(table, partial, cfg, epochs: int) -> tuple[np.ndarray, list[int]]:
+def profile(table, partial, epochs: int) -> tuple[np.ndarray, list[int]]:
     """(steps, parts) seconds over `epochs` epochs, and each step's token count."""
     enc, student = table.enc, table.model
+    cfg = student.config
     teacher = student.copy()
     labels = np.asarray([l for p in partial for l in p.labels], dtype=np.intp)
     known = labels != 0
@@ -140,8 +139,8 @@ def main() -> int:
     ap.add_argument("--json", help="also write the table to this file")
     args = ap.parse_args()
 
-    table, partial, cfg = guided_stage(args.config, args.fraction, args.seed)
-    times, tokens = profile(table, partial, cfg, args.epochs)
+    table, partial = guided_stage(args.config, args.fraction, args.seed)
+    times, tokens = profile(table, partial, args.epochs)
     us = times * 1e6
     total = us.sum(axis=1)
     print(f"{len(tokens)} steps, {min(tokens)}-{max(tokens)} tokens per batch, "

@@ -67,6 +67,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     exp = ExperimentConfig.from_dict(_load_json(args.config))
     seed = exp.tagger.seed if args.seed is None else args.seed
     os.makedirs(args.out, exist_ok=True)
+    for name in ("checkpoint.npz", "soft.bin", "lineage.csv", "trace_ner_fit.csv",
+                 "trace_self_train.csv"):  # every file it writes: none of an earlier run stays
+        if os.path.exists(os.path.join(args.out, name)):
+            os.remove(os.path.join(args.out, name))
     out = train_spec(spec, partial_from_labels(train_c), dev_c, exp, seed,
                      os.path.join(args.out, "soft.bin"), os.path.join(args.out, "lineage.csv"))
     tagger.save_checkpoint(out.model, os.path.join(args.out, "checkpoint.npz"))

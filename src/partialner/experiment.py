@@ -17,7 +17,7 @@ import shutil
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,8 +31,6 @@ from .corpus import (ConfigError, Corpus, SynthConfig, check_types, generate_syn
 from .evaluation import evaluate_model
 from .rng import derive_seed
 
-RESULT_COLUMNS = ("method", "fraction", "seed", "precision", "recall", "f1",
-                  "val_f1", "kept_entities", "wall_ms", "error")
 DEFAULT_FRACTIONS = (0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 SUMMARY_NAME = "summary.md"
@@ -214,12 +212,12 @@ class RunRecord:
     error: str = ""
 
     def row(self) -> list[str]:
-        def fmt(v):
-            return "" if v is None else repr(v) if isinstance(v, float) else str(v)
-        return [self.method, repr(self.fraction), str(self.seed),
-                fmt(self.precision), fmt(self.recall), fmt(self.f1),
-                fmt(self.val_f1), fmt(self.kept_entities), str(self.wall_ms),
-                self.error]
+        """The fields in RESULT_COLUMNS order: "" for None, a float by repr."""
+        return ["" if v is None else repr(v) if isinstance(v, float) else str(v)
+                for v in (getattr(self, name) for name in RESULT_COLUMNS)]
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 
 def train_spec(spec: MethodSpec, partial: Sequence[PartiallyAnnotatedSentence],
@@ -303,19 +301,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> str:
 
     Writes results.csv (one row per cell, in config order), summary.md
     (mean +/- std per method and fraction), config_echo.json (with absolute
-    CoNLL paths) and a fresh masks/ directory of sidecars.  Cells are
-    independent; with workers > 1 they run in a process pool, one (fraction,
-    seed) group per task, and with workers == 1 the same worker functions
-    run them in this process, so the output is the same for any worker count.
+    CoNLL paths) and fresh masks/ and lineage/ directories of sidecars and
+    cross-fit lineage files.  Cells are independent; with workers > 1 they
+    run in a process pool, one (fraction, seed) group per task, and with
+    workers == 1 the same worker functions run them in this process, so the
+    output is the same for any worker count.
     """
     if config.train_path:  # absolute, so `report` can redraw the masks from anywhere
         config = replace(config, **{k: os.path.abspath(getattr(config, k))
                                     for k in ("train_path", "dev_path", "test_path")})
-    os.makedirs(out_dir, exist_ok=True)
-    cache_dir = os.path.join(out_dir, "masks")
-    shutil.rmtree(cache_dir, ignore_errors=True)  # no earlier run's sidecars stay
-    lineage_dir = os.path.join(out_dir, "lineage")
-    os.makedirs(lineage_dir, exist_ok=True)
+    cache_dir, lineage_dir = os.path.join(out_dir, "masks"), os.path.join(out_dir, "lineage")
+    for d in (cache_dir, lineage_dir):  # no earlier run's sidecars or lineage files stay
+        shutil.rmtree(d, ignore_errors=True)
+    os.makedirs(lineage_dir)
     # Cells run one (fraction, seed) group at a time, each group in one
     # process, so the methods of a group share their repeated stages through
     # the stage memo (selftrain.memo).

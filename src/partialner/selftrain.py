@@ -28,7 +28,7 @@ METHODS = ("supervised", "bond", "guided_bond")
 
 @dataclass(frozen=True)
 class SelfTrainConfig:
-    """Two-stage training configuration; the tagger config drives both stages."""
+    """Two-stage training configuration; `tagger` configures the model `ner_fit` starts from."""
 
     tagger: tagger.TaggerConfig = field(default_factory=tagger.TaggerConfig)
     guidance: bool = False               # off: plain self-training; on: guided
@@ -50,7 +50,7 @@ def ner_fit(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
     labels (masked entities as O)."""
     data = to_corpus(partial, val.scheme, "partial-train") if soft is None else soft
     model = tagger.TaggerModel.init(config.tagger, val.scheme)
-    return tagger.train(model, data, val, config.tagger)
+    return tagger.train(model, data, val)
 
 
 def self_train(init_model: tagger.TaggerModel,
@@ -58,10 +58,10 @@ def self_train(init_model: tagger.TaggerModel,
                config: SelfTrainConfig) -> tuple[tagger.TaggerModel, StageTrace]:
     """Iterated distillation from a periodically refreshed frozen teacher.
 
-    Trains `init_model` in place and returns it, as `tagger.train` does:
-    it is the student, the teacher starts as a copy of it, and it ends
-    holding the student checkpoint with the best validation F1 seen across
-    the stage, the pre-update model included as iteration 0.
+    Trains `init_model` in place with the tagger settings of its own config and
+    returns it, as `tagger.train` does: it is the student, the teacher starts as a
+    copy of it, and it ends holding the student checkpoint with the best validation
+    F1 seen across the stage, the pre-update model included as iteration 0.
 
     Without guidance or hard targets the student's targets are its own
     outputs, so every gradient is exactly zero and no epoch moves it.  That
@@ -71,7 +71,7 @@ def self_train(init_model: tagger.TaggerModel,
     """
     if config.guidance or config.hard_targets:
         return _distill(init_model, partial, val, config)
-    val_enc, val_gold = tagger.validation_set(val, config.tagger)
+    val_enc, val_gold = tagger.validation_set(val, init_model.config)
     f1 = tagger.validation_f1(init_model, *init_model.positions(val_enc), val_gold)
     epochs, period = config.self_train_epochs, config.teacher_refresh_period
     return init_model, StageTrace("self_train", [f1] * (epochs + 1),
@@ -84,9 +84,7 @@ def _distill(init_model: tagger.TaggerModel,
     """`self_train` through `tagger.fit`, with a frozen teacher's rows as
     targets: a copy of the student holding the stage's rows, scored per batch
     (identical to scoring once per refresh window, as it is frozen between)."""
-    cfg = config.tagger
-    table = tagger.StageTable(
-        init_model, tagger.encode_tokens([p.tokens for p in partial], cfg), val, cfg)
+    table = tagger.StageTable(init_model, [p.tokens for p in partial], val)
     teacher = init_model.copy()
     labels = np.asarray([l for p in partial for l in p.labels], dtype=np.intp)
     # a partial sentence's labels are non-O exactly on its known spans
@@ -107,7 +105,7 @@ def _distill(init_model: tagger.TaggerModel,
         teacher.load_from(student)
         return True
 
-    return tagger.fit(table, targets, cfg, "self_train", STREAM_SELFTRAIN,
+    return tagger.fit(table, targets, "self_train", STREAM_SELFTRAIN,
                       config.self_train_epochs, None, refresh)
 
 

@@ -410,9 +410,9 @@ class StageTrace:
                 fh.write(f"{self.stage},{i},{f1!r},{int(i in refreshes)}\n")
 
 
-def _fixed_targets(data, scheme: LabelScheme, config: TaggerConfig,
-                   ) -> tuple[EncodedTokens, Callable[..., np.ndarray]]:
-    """Encoded training sentences and a lookup into their fixed target rows."""
+def _fixed_targets(data, scheme: LabelScheme,
+                   ) -> tuple[list[tuple[str, ...]], Callable[..., np.ndarray]]:
+    """Training token sequences and a lookup into their fixed target rows."""
     if isinstance(data, SoftDataset):
         if data.scheme.categories != scheme.categories:
             raise ValueError("soft dataset scheme differs from model scheme")
@@ -424,8 +424,7 @@ def _fixed_targets(data, scheme: LabelScheme, config: TaggerConfig,
     else:
         raise TypeError(f"cannot train on {type(data).__name__}; "
                         "expected Corpus or SoftDataset")
-    enc = encode_tokens([s.tokens for s in data.sentences], config)
-    return enc, lambda tok, ids, flags: rows[tok]
+    return [s.tokens for s in data.sentences], lambda tok, ids, flags: rows[tok]
 
 
 def validation_set(val: Corpus, config: TaggerConfig,
@@ -448,12 +447,13 @@ def validation_f1(model: TaggerModel, val_enc: EncodedTokens, val_gold: np.ndarr
 
 
 class StageTable:
-    """One training stage's inputs, built once: `model`, holding the `held`
-    rows of the training and validation tokens, their encodings by position,
-    and the arrays each validation's forward pass reuses (`val_work`)."""
+    """One training stage's inputs, built once: `model`, holding the `held` rows of
+    the training and validation tokens, their encodings by `model.config` and
+    position, and the arrays each validation's forward pass reuses (`val_work`)."""
 
-    def __init__(self, model: TaggerModel, enc: EncodedTokens, val: Corpus,
-                 config: TaggerConfig):
+    def __init__(self, model: TaggerModel, token_seqs: Sequence[Sequence[str]], val: Corpus):
+        config = model.config
+        enc = encode_tokens(token_seqs, config)
         val_enc, self.val_gold = validation_set(val, config)
         self.model = model
         self.enc, self.val_enc = model.positions(enc, val_enc)
@@ -463,26 +463,26 @@ class StageTable:
 
 
 def fit(table: StageTable, targets: Callable[..., np.ndarray],
-        config: TaggerConfig, stage: str, stream: int, epochs: int,
-        patience: int | None = None,
+        stage: str, stream: int, epochs: int, patience: int | None = None,
         after_epoch: Callable[[int, TaggerModel], bool] | None = None,
         ) -> tuple[TaggerModel, StageTrace]:
     """The mini-batch SGD loop of every training stage.
 
-    Trains `table.model` in place and returns it.  Each epoch shuffles the
-    sentences of `table.enc` with the `stream` RNG of config.seed and
-    gathers their ids and flags in that order once; each batch is then a
-    contiguous slice of them.  One SGD step per batch goes towards
-    `targets(tok, ids, flags)`, the (len(tok), C) target rows of the batch's
-    flat token indices `tok`, whose embedding positions and flags are `ids`
-    and `flags`.  Validation span micro-F1 follows.  After each epoch, in
-    this order: the best iteration so far is selected (the starting model
-    is iteration 0 and a tie keeps the earlier one), `after_epoch(epoch,
-    model)` runs (adding no rows) and its truthy return is recorded as a
-    teacher refresh, and the stage stops once `patience` epochs in a row
-    have not improved.  The model ends holding the selected iteration's
-    parameters."""
+    Trains `table.model` in place with the batch size and learning rate of its
+    config and returns it.  Each epoch shuffles the sentences of `table.enc`
+    with the `stream` RNG of the config's seed and gathers their ids and flags
+    in that order once; each batch is then a contiguous slice of them.  One SGD
+    step per batch goes towards `targets(tok, ids, flags)`, the (len(tok), C)
+    target rows of the batch's flat token indices `tok`, whose embedding
+    positions and flags are `ids` and `flags`.  Validation span micro-F1 follows.
+    After each epoch, in this order: the best iteration so far is selected (the
+    starting model is iteration 0 and a tie keeps the earlier one),
+    `after_epoch(epoch, model)` runs (adding no rows) and its truthy return is
+    recorded as a teacher refresh, and the stage stops once `patience` epochs in
+    a row have not improved.  The model ends holding the selected iteration's
+    parameters.  Deterministic given `model.config.seed`."""
     enc, model, val = table.enc, table.model, (table.val_enc, table.val_gold, table.val_work)
+    config = model.config
     n = len(enc)
     if not n:
         raise ValueError("empty training data")
@@ -525,19 +525,17 @@ def fit(table: StageTable, targets: Callable[..., np.ndarray],
     return model, trace
 
 
-def train(model: TaggerModel, data, val: Corpus,
-          config: TaggerConfig | None = None) -> tuple[TaggerModel, StageTrace]:
+def train(model: TaggerModel, data, val: Corpus) -> tuple[TaggerModel, StageTrace]:
     """Early-stopped `fit` on fixed targets: the "ner_fit" stage.
 
     `data` is a hard-labelled Corpus (one-hot targets) or a SoftDataset.
-    Runs at most config.max_epochs epochs on the training stream and stops
-    after config.patience epochs without a validation-F1 improvement.
-    Deterministic given config.seed.
+    Runs at most `max_epochs` epochs on the training stream and stops after
+    `patience` epochs without a validation-F1 improvement, both read from
+    `model.config`.  Deterministic given `model.config.seed`.
     """
-    config = config or model.config
-    enc, targets = _fixed_targets(data, model.scheme, config)
-    return fit(StageTable(model, enc, val, config), targets, config,
-               "ner_fit", STREAM_TRAIN, config.max_epochs, config.patience)
+    token_seqs, targets = _fixed_targets(data, model.scheme)
+    return fit(StageTable(model, token_seqs, val), targets, "ner_fit", STREAM_TRAIN,
+               model.config.max_epochs, model.config.patience)
 
 
 def save_checkpoint(model: TaggerModel, path: str) -> None:

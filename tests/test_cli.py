@@ -292,6 +292,17 @@ class TestTrainAndEval:
         assert (out / "soft.bin").exists()
         LineageRecord.read_csv(str(out / "lineage.csv")).verify()
 
+    def test_rerun_keeps_only_its_own_files(self, workdir, tmp_path, capsys):
+        for method in ("bde:guided_bond+guided_bond", "supervised"):
+            rc = cli.main(["train", "--method", method,
+                           "--train", str(workdir / "masked.conll"),
+                           "--dev", str(workdir / "dev.conll"),
+                           "--config", str(workdir / "train_config.json"),
+                           "--seed", "0", "--out", str(tmp_path)])
+            assert rc == 0
+        capsys.readouterr()
+        assert sorted(os.listdir(tmp_path)) == ["checkpoint.npz", "trace_ner_fit.csv"]
+
     def test_bde_audit_files_are_pinned(self, workdir, capsys):
         """soft.bin and lineage.csv of a guided cross-fit run, byte for byte."""
         out = workdir / "run_bde_gb_gb"
@@ -476,6 +487,16 @@ class TestExperimentAndReport:
         (sidecar,) = (run / "masks").iterdir()  # the first run's sidecar is gone
         assert sidecar.name.endswith("_s777.csv")
         assert cli.main(["report", str(run)]) == 0
+        capsys.readouterr()
+
+    def test_rerun_keeps_no_earlier_lineage(self, workdir, tmp_path, capsys):
+        cfg = dict(experiment_config(workdir, tmp_path / "run"), seeds=[0])
+        cfg_path = tmp_path / "run.json"
+        for methods in (["bde:supervised+supervised"], ["supervised"]):
+            cfg_path.write_text(json.dumps(dict(cfg, methods=methods)))
+            assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+        assert os.listdir(tmp_path / "run" / "lineage") == []
+        assert cli.main(["report", str(tmp_path / "run")]) == 0
         capsys.readouterr()
 
     def test_report_runs_from_another_directory(self, workdir, tmp_path, monkeypatch,

@@ -195,7 +195,7 @@ class TestPredict:
         trn, dev, test = small_splits
         cfg = TaggerConfig(embed_dim=8, window=1, hidden_dim=12, hash_buckets=1024,
                            learning_rate=0.3, max_epochs=3, patience=3, seed=1)
-        model, trace = train(TaggerModel.init(cfg, trn.scheme), trn, dev, cfg)
+        model, trace = train(TaggerModel.init(cfg, trn.scheme), trn, dev)
         assert trace.best_iteration > 0
         res = evaluate_model(model, test)
         assert res.match_count > 0

@@ -1,6 +1,7 @@
 """Tests for the methods x fractions x seeds harness and its reports."""
 
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from partialner import experiment, selftrain, tagger
+from partialner import cli, experiment, selftrain, tagger
 from partialner.annotation import mask_entities
 from partialner.corpus import ConfigError, SynthConfig, generate_synthetic, serialize_conll
 from partialner.experiment import (
@@ -527,4 +528,30 @@ class TestCompareRuns:
         assert changed.returncode == 1
         assert changed.stdout.splitlines() == [
             f"lineage/{lineage}: contents differ", f"masks/{sidecar}: only in A",
+            "2 difference(s)"]
+
+    def test_equal_train_directories_and_a_tampered_copy(self, tmp_path):
+        for name, n, seed in (("train", 40, 3), ("dev", 20, 4)):
+            corpus = generate_synthetic(SynthConfig(n_sentences=n, seed=seed))
+            (tmp_path / f"{name}.conll").write_text(serialize_conll(corpus))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"tagger": dataclasses.asdict(fast_tagger()),
+                                      "self_train_epochs": 2}))
+        for out in ("a", "b"):
+            assert cli.main(["train", "--method", "bde:supervised+guided_bond",
+                             "--train", str(tmp_path / "train.conll"),
+                             "--dev", str(tmp_path / "dev.conll"), "--config", str(config),
+                             "--seed", "0", "--out", str(tmp_path / out)]) == 0
+        assert sorted(os.listdir(tmp_path / "a")) == [
+            "checkpoint.npz", "lineage.csv", "soft.bin", "trace_ner_fit.csv",
+            "trace_self_train.csv"]
+        same = self.compare(tmp_path / "a", tmp_path / "b")
+        assert (same.returncode, same.stdout) == (0, "no difference\n")
+        with open(tmp_path / "b" / "trace_self_train.csv", "a") as fh:
+            fh.write("self_train,3,0.5,0\n")
+        os.remove(tmp_path / "b" / "soft.bin")
+        changed = self.compare(tmp_path / "a", tmp_path / "b")
+        assert changed.returncode == 1
+        assert changed.stdout.splitlines() == [
+            "soft.bin: only in A", "trace_self_train.csv: contents differ",
             "2 difference(s)"]

@@ -138,6 +138,26 @@ class TestSelfTrain:
         # the returned checkpoint is the selected iteration's
         assert evaluate_model(model, val).f1 == pytest.approx(trace.best_f1)
 
+    @pytest.mark.parametrize("overrides", [{"guidance": True}, {}],
+                             ids=["guided", "closed_form"])
+    def test_trains_with_the_model_config(self, splits, masked, overrides):
+        # tagger settings in the SelfTrainConfig other than the model's own
+        # change nothing: the stage reads the model's config
+        _, val = splits
+        own = fast_config(**overrides)
+        other = replace(own, tagger=replace(own.tagger, hash_buckets=4096, seed=7,
+                                            learning_rate=0.01))
+        fitted, _ = ner_fit(masked, val, own)
+        (want, want_trace), (got, got_trace) = (
+            self_train(fitted.copy(), masked, val, cfg) for cfg in (own, other))
+        assert got.config == own.tagger
+        np.testing.assert_array_equal(got.rows, want.rows)
+        for name, arr in full_params(want).items():
+            assert np.array_equal(bits(full_params(got)[name]), bits(arr)), name
+        assert [f.hex() for f in got_trace.val_f1 + got_trace.losses] == \
+            [f.hex() for f in want_trace.val_f1 + want_trace.losses]
+        assert got_trace == want_trace
+
 
 class TestClosedFormStage:
     """`self_train` without guidance or hard targets skips SGD; the merged

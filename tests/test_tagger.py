@@ -505,7 +505,7 @@ class TestStepMatchesReference:
         for total in (1, 2, 7, 199, 1000):
             seqs, weights, targets = step_batch(rng, tokens, total, scheme.tag_count)
             enc = encode_tokens(seqs, cfg)
-            table = StageTable(TaggerModel.init(cfg, scheme), enc, val, cfg)
+            table = StageTable(TaggerModel.init(cfg, scheme), seqs, val)
             for model, e in ((full, enc), (table.model, table.enc)):
                 case = f"T={total} rows={model.embed.shape[0]}"
                 for got, want, name in zip(forward_flat(model, e.ids, e.flags),
@@ -537,7 +537,7 @@ class TestValidationF1:
         out.append(zeroed)  # predicts O everywhere
         for epochs, lr in ((1, 0.05), (3, 0.3), (8, 0.3)):
             cfg = small_config(max_epochs=epochs, patience=epochs, learning_rate=lr)
-            out.append(train(TaggerModel.init(cfg, val.scheme), trn, val, cfg)[0])
+            out.append(train(TaggerModel.init(cfg, val.scheme), trn, val)[0])
         return out
 
     def test_equals_span_f1_over_decode_bio(self, learnable, models):
@@ -582,7 +582,7 @@ class TestTrain:
         cfg = TaggerConfig(embed_dim=16, window=1, hidden_dim=24,
                            hash_buckets=4096, learning_rate=0.3,
                            max_epochs=30, patience=30, seed=0)
-        model, trace = train(TaggerModel.init(cfg, scheme), trn, val, cfg)
+        model, trace = train(TaggerModel.init(cfg, scheme), trn, val)
         assert trace.val_f1[trace.best_iteration] > trace.val_f1[0] + 0.3
         assert evaluate_model(model, val).f1 == pytest.approx(trace.best_f1)
 
@@ -590,7 +590,7 @@ class TestTrain:
         trn, val = learnable
         cfg = TaggerConfig(embed_dim=8, window=1, hidden_dim=12,
                            hash_buckets=1024, max_epochs=6, patience=2, seed=1)
-        _, trace = train(TaggerModel.init(cfg, scheme), trn, val, cfg)
+        _, trace = train(TaggerModel.init(cfg, scheme), trn, val)
         assert trace.stage == "ner_fit"
         assert len(trace.val_f1) == len(trace.losses) + 1  # iteration 0: the start
         assert 0 < len(trace.losses) <= cfg.max_epochs
@@ -606,15 +606,15 @@ class TestTrain:
         trn, val = learnable
         cfg = TaggerConfig(embed_dim=8, window=1, hidden_dim=12,
                            hash_buckets=1024, max_epochs=3, patience=3, seed=4)
-        a, _ = train(TaggerModel.init(cfg, scheme), trn, val, cfg)
-        b, _ = train(TaggerModel.init(cfg, scheme), trn, val, cfg)
+        a, _ = train(TaggerModel.init(cfg, scheme), trn, val)
+        b, _ = train(TaggerModel.init(cfg, scheme), trn, val)
         for name, arr in full_params(a).items():
             np.testing.assert_array_equal(arr, full_params(b)[name])
 
     def test_patience_stops_unlearnable_run(self, scheme):
         trn, val = unlearnable_splits(scheme)
         cfg = small_config(max_epochs=50, patience=1)
-        _, trace = train(TaggerModel.init(cfg, scheme), trn, val, cfg)
+        _, trace = train(TaggerModel.init(cfg, scheme), trn, val)
         assert trace.stopped_early
         assert len(trace.losses) <= 2
 
@@ -623,7 +623,7 @@ class TestTrain:
         cfg = small_config(max_epochs=4, patience=2)
         init = TaggerModel.init(cfg, scheme)
         frozen = init.copy()
-        model, trace = train(init, trn, val, cfg)
+        model, trace = train(init, trn, val)
         assert trace.best_iteration == 0
         assert trace.best_epoch == -1
         assert trace.best_f1 == trace.val_f1[0]
@@ -639,8 +639,8 @@ class TestTrain:
             scheme)
         cfg = TaggerConfig(embed_dim=8, window=1, hidden_dim=12,
                            hash_buckets=1024, max_epochs=3, patience=3, seed=2)
-        hard_model, _ = train(TaggerModel.init(cfg, scheme), subset, val, cfg)
-        soft_model, _ = train(TaggerModel.init(cfg, scheme), soft, val, cfg)
+        hard_model, _ = train(TaggerModel.init(cfg, scheme), subset, val)
+        soft_model, _ = train(TaggerModel.init(cfg, scheme), soft, val)
         for name, arr in full_params(hard_model).items():
             np.testing.assert_array_equal(arr, full_params(soft_model)[name])
 
@@ -648,14 +648,14 @@ class TestTrain:
         _, val = unlearnable_splits(scheme)
         cfg = small_config()
         with pytest.raises(ValueError, match="empty"):
-            train(TaggerModel.init(cfg, scheme), Corpus((), scheme, "empty"), val, cfg)
+            train(TaggerModel.init(cfg, scheme), Corpus((), scheme, "empty"), val)
 
     def test_unlabelled_corpus_rejected(self, scheme):
         trn, val = unlearnable_splits(scheme)
         bare = Corpus([Sentence(s.tokens) for s in trn.sentences], scheme, "bare")
         cfg = small_config()
         with pytest.raises(ValueError, match="hard labels"):
-            train(TaggerModel.init(cfg, scheme), bare, val, cfg)
+            train(TaggerModel.init(cfg, scheme), bare, val)
 
     def test_scheme_mismatch_rejected(self, scheme):
         other = LabelScheme(("PER",))
@@ -664,7 +664,7 @@ class TestTrain:
         trn, val = unlearnable_splits(scheme)
         cfg = small_config()
         with pytest.raises(ValueError, match="scheme"):
-            train(TaggerModel.init(cfg, scheme), soft, val, cfg)
+            train(TaggerModel.init(cfg, scheme), soft, val)
 
 
 def stage_buckets(train_seqs, val, config) -> np.ndarray:
@@ -680,7 +680,7 @@ class TestStageTable:
         model = TaggerModel.init(cfg, scheme)
         full = model.full_embed()
         enc = encode_tokens([s.tokens for s in trn.sentences], cfg)
-        table = StageTable(model, enc, val, cfg)
+        table = StageTable(model, [s.tokens for s in trn.sentences], val)
         assert table.model is model
         np.testing.assert_array_equal(
             model.rows, stage_buckets([s.tokens for s in trn.sentences], val, cfg))
@@ -696,8 +696,7 @@ class TestStageTable:
         # silently gather other rows
         trn, val = learnable
         cfg = small_config(hash_buckets=4096)
-        enc = encode_tokens([s.tokens for s in trn.sentences], cfg)
-        table = StageTable(TaggerModel.init(cfg, scheme), enc, val, cfg)
+        table = StageTable(TaggerModel.init(cfg, scheme), [s.tokens for s in trn.sentences], val)
         hooked = []
 
         def score_unseen(epoch, model):
@@ -706,7 +705,7 @@ class TestStageTable:
 
         zeros = lambda tok, ids, flags: np.zeros((tok.size, scheme.tag_count))
         with pytest.raises(RuntimeError, match="positions are stale"):
-            fit(table, zeros, cfg, "ner_fit", 0, 3, after_epoch=score_unseen)
+            fit(table, zeros, "ner_fit", 0, 3, after_epoch=score_unseen)
         assert hooked == [1]
 
     def test_rows_outside_the_stage_keep_their_bits(self, scheme, learnable):
@@ -714,7 +713,7 @@ class TestStageTable:
         cfg = TaggerConfig(embed_dim=8, window=1, hidden_dim=12, hash_buckets=4096,
                            learning_rate=0.3, max_epochs=4, patience=4, seed=0)
         start = TaggerModel.init(cfg, scheme)
-        model, trace = train(start.copy(), trn, val, cfg)
+        model, trace = train(start.copy(), trn, val)
         assert trace.best_iteration > 0
         inside = stage_buckets([s.tokens for s in trn.sentences], val, cfg)
         outside = np.setdiff1d(np.arange(cfg.hash_buckets), inside)
