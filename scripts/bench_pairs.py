@@ -12,9 +12,14 @@ even pairs run PARENT first and odd pairs CHANGE first.  Every run uses the same
 does.  The output file holds every run's metrics, cell times and F1 means
 and, per end-to-end metric, both sides' medians and quartiles
 (numpy.percentile 25/75, linear), the pairs the change wins, how much worse
-the change's median is than the parent's relative to it, and whether the
-claim rule holds: the change wins at least 9 of 10 pairs and its median
-beats the parent's by more than the parent's interquartile range.
+the change's median is than the parent's relative to it, whether the
+claim rule holds and whether the metric is resolved.  The claim holds when
+the change wins at least 9 of 10 pairs, its median beats the parent's by
+more than the parent's interquartile range, every change run is correct and
+the change fails no larger share of its attempted cells than the parent.  A
+metric is unresolved when the parent's interquartile range, relative to its
+median, is wider than the metric's bound, unless every change run beats
+every parent run: its spread then cannot tell a regression from noise.
 """
 import argparse
 import json
@@ -66,10 +71,19 @@ def run_pairs(trees: dict, prefix: list[str], workload: str, pairs: int, seed: i
     return runs
 
 
+def failed_share(runs: list[dict], side: str) -> float:
+    attempted = sum(r["attempted"] for r in runs if r["side"] == side)
+    failed = sum(r["failed"] for r in runs if r["side"] == side)
+    return failed / attempted if attempted else 0.0
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per end-to-end metric: medians, quartiles, pairs won and the claim rule."""
+    """Per end-to-end metric: medians, quartiles, pairs won, the claim rule
+    and whether the parent's spread resolves the metric."""
     pairs = sorted({r["pair"] for r in runs})
     value = {(r["pair"], r["side"]): r["metrics"] for r in runs}
+    runs_ok = (all(r["correct"] for r in runs if r["side"] == "change")
+               and failed_share(runs, "change") <= failed_share(runs, "parent"))
     out = {}
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -82,15 +96,22 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         gain = stats["parent"]["median"] - stats["change"]["median"]
         gain = gain if lower else -gain
         iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
-        worse = -gain / abs(stats["parent"]["median"]) if stats["parent"]["median"] else 0.0
+        median = abs(stats["parent"]["median"])
+        worse = -gain / median if median else 0.0
+        spread = iqr / median if median else (math.inf if iqr else 0.0)
+        beats_all = (max(sides["change"]) < min(sides["parent"]) if lower
+                     else min(sides["change"]) > max(sides["parent"]))
+        bound = spec.get("bound")
         out[name] = {
             "unit": spec["unit"], "better": spec["better"], **{
                 f"{side}_{k}": v for side in SIDES for k, v in stats[side].items()},
             "change_wins": wins, "pairs": len(pairs),
             "median_gain": gain, "parent_iqr": iqr,
-            "claim_holds": wins >= math.ceil(WIN_SHARE * len(pairs)) and gain > iqr,
-            "median_worse_by": worse, "bound": spec.get("bound"),
-            "within_bound": spec.get("bound") is None or worse <= spec["bound"],
+            "claim_holds": (wins >= math.ceil(WIN_SHARE * len(pairs)) and gain > iqr
+                            and runs_ok),
+            "median_worse_by": worse, "bound": bound,
+            "within_bound": bound is None or worse <= bound,
+            "resolved": bound is None or spread <= bound or beats_all,
         }
     return out
 
@@ -117,7 +138,7 @@ def main(argv=None) -> int:
         print(f"{name:14s} parent {s['parent_median']:.4g} change {s['change_median']:.4g} "
               f"wins {s['change_wins']}/{s['pairs']} gain {s['median_gain']:.4g} "
               f"iqr {s['parent_iqr']:.4g} claim {s['claim_holds']} "
-              f"within_bound {s['within_bound']}")
+              f"within_bound {s['within_bound']} resolved {s['resolved']}")
     return 0
 
 

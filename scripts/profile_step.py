@@ -28,7 +28,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -48,8 +47,7 @@ def guided_stage(config_path: str, fraction: float, seed: int):
     config = experiment.ExperimentConfig.from_json(config_path)
     train, dev, _ = experiment.load_corpora(config)
     partial, _ = annotation.mask_entities(train, fraction, config.mask_seed)
-    st_cfg = replace(config.selftrain_config(seed), guidance=True)
-    init_model, _ = selftrain.ner_fit(partial, dev, st_cfg)
+    init_model, _ = selftrain.ner_fit(partial, dev, config.selftrain_config(seed))
     return tagger.StageTable(init_model, [p.tokens for p in partial], dev), partial
 
 

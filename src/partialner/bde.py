@@ -30,9 +30,9 @@ SOFT_VERSION = 1
 class BdeConfig:
     """Cross-fit estimation configuration.
 
-    `seed` drives the fold assignment and derives distinct child seeds for
-    each inner training and the final stage, so the whole pipeline is a pure
-    function of (data, config).
+    `seed`, the model seed of `selftrain.tagger`, drives the fold assignment
+    and derives distinct child seeds for each inner training and the final
+    stage, so the whole pipeline is a pure function of (data, config).
     """
 
     k: int = 2
@@ -40,7 +40,10 @@ class BdeConfig:
     final_method: str = "supervised"
     selftrain: selftrain.SelfTrainConfig = field(
         default_factory=selftrain.SelfTrainConfig)
-    seed: int = 0
+
+    @property
+    def seed(self) -> int:
+        return self.selftrain.tagger.seed
 
     def __post_init__(self):
         if self.k < 2:
@@ -129,13 +132,13 @@ def estimate_base(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
     """Per fold, train the inner method on the complement and score the fold.
 
     The estimate does not read `config.final_method`, so it goes through the
-    stage memo keyed by the corpora, `k`, `inner_method`, `seed` and
-    `selftrain`, and the final method is the one asking: the other final
+    stage memo keyed by the corpora, `k`, `inner_method` and `selftrain`
+    (with the seed), and the final method is the one asking: the other final
     method takes a copy, whose lineage is verified again, instead of
     recomputing it.
     """
     corpora = (tuple(partial), val)
-    key = (config.k, config.inner_method, config.seed, config.selftrain)
+    key = (config.k, config.inner_method, config.selftrain)
     held = selftrain.memo.take("estimate", corpora, key, config.final_method)
     if held is not None:
         soft, lineage = _private(*held)

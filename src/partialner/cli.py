@@ -110,6 +110,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if not args.tolerance >= 0:  # NaN fails too
+        raise ConfigError(f"--tolerance {args.tolerance!r} must be >= 0")
     problems = verify_report(args.run_dir, tolerance=args.tolerance)
     if problems:
         for p in problems:

@@ -17,7 +17,7 @@ import shutil
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -66,8 +66,8 @@ class MethodSpec:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """The full experiment matrix and its data source.
+class ExperimentConfig(selftrain.SelfTrainConfig):
+    """The full experiment matrix, its data source and its cells' self-training settings.
 
     With CoNLL paths unset, the synthetic generator provides train/dev/test
     splits from derived seeds.  `mask_seed` is separate from the model seeds
@@ -84,10 +84,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     methods: tuple[str, ...] = ("supervised", "bond", "guided_bond")
     mask_seed: int = 20230
-    tagger: tagger.TaggerConfig = field(default_factory=tagger.TaggerConfig)
-    teacher_refresh_period: int = 1
-    self_train_epochs: int = 20
-    hard_targets: bool = False
     bde_k: int = 2
     workers: int | None = None   # None: one per usable core; 1: in-process serial
 
@@ -114,10 +110,7 @@ class ExperimentConfig:
             raise ConfigError(f"bde_k must be >= 2, got {self.bde_k}")
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1 or unset, got {self.workers}")
-        try:  # the self-training values are checked where they are used
-            self.selftrain_config(self.tagger.seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        super().__post_init__()
 
     @staticmethod
     def from_dict(data: Mapping) -> "ExperimentConfig":
@@ -144,11 +137,9 @@ class ExperimentConfig:
             return ExperimentConfig.from_dict(json.load(fh))
 
     def selftrain_config(self, seed: int) -> selftrain.SelfTrainConfig:
-        return selftrain.SelfTrainConfig(
-            tagger=replace(self.tagger, seed=seed),
-            teacher_refresh_period=self.teacher_refresh_period,
-            self_train_epochs=self.self_train_epochs,
-            hard_targets=self.hard_targets)
+        """The self-training settings, model seed `seed`, as the plain type memo keys hash."""
+        settings = {f.name: getattr(self, f.name) for f in fields(selftrain.SelfTrainConfig)}
+        return selftrain.SelfTrainConfig(**{**settings, "tagger": replace(self.tagger, seed=seed)})
 
 
 def canonical_json(config: ExperimentConfig) -> str:
@@ -230,7 +221,7 @@ def train_spec(spec: MethodSpec, partial: Sequence[PartiallyAnnotatedSentence],
     st_cfg = config.selftrain_config(seed)
     if spec.kind != "bde":
         return selftrain.run_method(spec.kind, partial, dev, st_cfg)
-    bde_cfg = bde.BdeConfig(config.bde_k, spec.inner, spec.final, st_cfg, seed=seed)
+    bde_cfg = bde.BdeConfig(config.bde_k, spec.inner, spec.final, st_cfg)
     return bde.run_bde(partial, dev, bde_cfg, soft_path, lineage_path)
 
 
@@ -475,7 +466,8 @@ def verify_report(out_dir: str, tolerance: float = 1e-9) -> list[str]:
             problems.append(f"{key}: in results.csv but missing from summary.md")
             continue
         (m1, s1, n1), (m2, s2, n2) = recomputed[key], summarized[key]
-        if n1 != n2 or abs(m1 - m2) > tolerance or abs(s1 - s2) > tolerance:
+        close = abs(m1 - m2) <= tolerance and abs(s1 - s2) <= tolerance  # False on a NaN
+        if n1 != n2 or not close:
             problems.append(f"{key}: recomputed mean={m1!r} std={s1!r} n={n1}, "
                             f"summary mean={m2!r} std={s2!r} n={n2}")
     lineage_dir = os.path.join(out_dir, "lineage")

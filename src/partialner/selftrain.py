@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import tagger
 from .annotation import PartiallyAnnotatedSentence, one_hot_rows, pin_rows, to_corpus
-from .corpus import Corpus
+from .corpus import ConfigError, Corpus
 from .rng import STREAM_SELFTRAIN
 from .tagger import StageTrace
 
@@ -31,16 +31,15 @@ class SelfTrainConfig:
     """Two-stage training configuration; `tagger` configures the model `ner_fit` starts from."""
 
     tagger: tagger.TaggerConfig = field(default_factory=tagger.TaggerConfig)
-    guidance: bool = False               # off: plain self-training; on: guided
     teacher_refresh_period: int = 1      # student epochs per teacher replacement
     self_train_epochs: int = 20
     hard_targets: bool = False           # argmax teacher outputs into one-hots
 
     def __post_init__(self):
         if self.teacher_refresh_period < 1:
-            raise ValueError("teacher_refresh_period must be >= 1")
+            raise ConfigError("teacher_refresh_period must be >= 1")
         if self.self_train_epochs < 1:
-            raise ValueError("self_train_epochs must be >= 1")
+            raise ConfigError("self_train_epochs must be >= 1")
 
 
 def ner_fit(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
@@ -55,8 +54,10 @@ def ner_fit(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
 
 def self_train(init_model: tagger.TaggerModel,
                partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
-               config: SelfTrainConfig) -> tuple[tagger.TaggerModel, StageTrace]:
-    """Iterated distillation from a periodically refreshed frozen teacher.
+               config: SelfTrainConfig, guided: bool = False,
+               ) -> tuple[tagger.TaggerModel, StageTrace]:
+    """Iterated distillation from a periodically refreshed frozen teacher,
+    guided (the known spans of `partial` pinned in every target) if `guided`.
 
     Trains `init_model` in place with the tagger settings of its own config and
     returns it, as `tagger.train` does: it is the student, the teacher starts as a
@@ -69,8 +70,8 @@ def self_train(init_model: tagger.TaggerModel,
     empty) and the returned model, `init_model` unchanged, are the ones
     `_distill` would produce.
     """
-    if config.guidance or config.hard_targets:
-        return _distill(init_model, partial, val, config)
+    if guided or config.hard_targets:
+        return _distill(init_model, partial, val, config, guided)
     val_enc, val_gold = tagger.validation_set(val, init_model.config)
     f1 = tagger.validation_f1(init_model, *init_model.positions(val_enc), val_gold)
     epochs, period = config.self_train_epochs, config.teacher_refresh_period
@@ -80,7 +81,7 @@ def self_train(init_model: tagger.TaggerModel,
 
 def _distill(init_model: tagger.TaggerModel,
              partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
-             config: SelfTrainConfig) -> tuple[tagger.TaggerModel, StageTrace]:
+             config: SelfTrainConfig, guided: bool) -> tuple[tagger.TaggerModel, StageTrace]:
     """`self_train` through `tagger.fit`, with a frozen teacher's rows as
     targets: a copy of the student holding the stage's rows, scored per batch
     (identical to scoring once per refresh window, as it is frozen between)."""
@@ -94,7 +95,7 @@ def _distill(init_model: tagger.TaggerModel,
         rows = tagger.forward_flat(teacher, ids, flags)[2]
         if config.hard_targets:
             rows = one_hot_rows(np.argmax(rows, axis=1), rows.shape[1])
-        if config.guidance:
+        if guided:
             pinned = np.flatnonzero(known[tok])
             rows = pin_rows(rows, pinned, labels[tok[pinned]])
         return rows
@@ -199,6 +200,5 @@ def run_method(method: str, partial: Sequence[PartiallyAnnotatedSentence],
     model, fit_trace = _memo_fit(method, partial, val, config, soft)
     if method == "supervised":
         return RunOutput(model, fit_trace.best_f1, [fit_trace])
-    cfg = replace(config, guidance=(method == "guided_bond"))
-    model, st_trace = self_train(model, partial, val, cfg)
+    model, st_trace = self_train(model, partial, val, config, method == "guided_bond")
     return RunOutput(model, st_trace.best_f1, [fit_trace, st_trace])

@@ -53,8 +53,8 @@ class TaggerConfig:
             raise ValueError("window must be >= 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails too
+            raise ValueError("learning_rate must be positive and finite")
 
     @property
     def slots(self) -> int:
@@ -374,7 +374,8 @@ class SoftDataset:
         want = (sum(map(len, self.sentences)), self.scheme.tag_count)
         if self.rows.shape != want:
             raise ValueError(f"target shape {self.rows.shape}, want {want}")
-        if (self.rows < 0).any() or np.abs(self.rows.sum(axis=1) - 1.0).max(initial=0.0) > 1e-6:
+        if not ((self.rows >= 0).all()  # written so that NaN rows fail too
+                and np.abs(self.rows.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-6):
             raise ValueError("targets are not distributions")
 
     def __len__(self) -> int:

@@ -2,7 +2,7 @@
 
 import copy
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from types import SimpleNamespace
 
@@ -122,6 +122,10 @@ class TestBdeConfig:
         with pytest.raises(ValueError, match="final"):
             BdeConfig(final_method="bond")
 
+    def test_seed_is_the_model_seed(self):
+        assert "seed" not in {f.name for f in fields(BdeConfig)}
+        assert BdeConfig(selftrain=fast_selftrain(7)).seed == 7
+
 
 def good_lineage():
     return LineageRecord(fold_train_ids=[[2, 3], [0, 1]],
@@ -203,6 +207,18 @@ class TestSoftIO:
         with pytest.raises(ValueError, match=re.escape(f"{path}: truncated")):
             load_soft(str(path), masked, val.scheme)
 
+    def test_rejects_nan_rows(self, splits, masked, tmp_path, small_run):
+        _, val = splits
+        path = tmp_path / "soft.bin"
+        save_soft(small_run.soft, str(path))
+        data = bytearray(path.read_bytes())
+        row = 28  # the first sentence's first row, after both headers
+        data[row:row + 8 * val.scheme.tag_count] = np.full(
+            val.scheme.tag_count, np.nan).astype("<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="not distributions"):
+            load_soft(str(path), masked, val.scheme)
+
     def test_rejects_trailing_bytes(self, splits, masked, tmp_path, small_run):
         _, val = splits
         path = tmp_path / "soft.bin"
@@ -231,6 +247,12 @@ class TestEstimateBase:
         offsets = np.cumsum([0, *map(len, masked)])
         for s, d in zip(scored_ids, redone):
             np.testing.assert_array_equal(soft.rows[offsets[s]:offsets[s + 1]], d)
+
+    def test_the_model_seed_drives_the_estimate(self, splits, masked):
+        _, val = splits
+        first, second = (estimate_base(masked, val, BdeConfig(
+            inner_method="supervised", selftrain=fast_selftrain(seed)))[0] for seed in (0, 7))
+        assert not np.array_equal(first.rows, second.rows)
 
     def test_every_sentence_scored_once(self, splits, masked, small_run):
         small_run.lineage.verify()
@@ -398,7 +420,7 @@ class TestEstimateHandover:
         _, val = splits
         for final in self.FINALS:  # every seed of one final, then of the other
             for seed in (0, 1):
-                run_bde(masked, val, BdeConfig(final_method=final, seed=seed,
+                run_bde(masked, val, BdeConfig(final_method=final,
                                                selftrain=fast_selftrain(seed)))
         assert len(estimate_spy) == 2
 
@@ -410,7 +432,7 @@ class TestEstimateHandover:
         estimate_base(masked, val, config)
         other_partial, other_val = masked, val
         if change == "seed":
-            config = replace(config, seed=1)
+            config = replace(config, selftrain=fast_selftrain(1))
         elif change == "k":
             config = replace(config, k=3)
         elif change == "inner":

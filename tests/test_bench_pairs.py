@@ -48,8 +48,10 @@ def test_sides_alternate_and_every_run_is_kept(bench_pairs):
 
 
 def runs_of(parent, change, name):
-    return ([{"pair": i, "side": "parent", "metrics": {name: v}} for i, v in enumerate(parent)]
-            + [{"pair": i, "side": "change", "metrics": {name: v}} for i, v in enumerate(change)])
+    return [{"pair": i, "side": side, "correct": True, "attempted": 2, "failed": 0,
+             "metrics": {name: v}}
+            for side, values in (("parent", parent), ("change", change))
+            for i, v in enumerate(values)]
 
 
 def test_claim_rule_for_a_lower_is_better_metric(bench_pairs):
@@ -85,6 +87,42 @@ def test_claim_rule_for_a_higher_is_better_metric(bench_pairs, change, wins, hol
     assert s["change_wins"] == wins
     assert s["claim_holds"] is holds
     assert s["within_bound"] is within
+
+
+@pytest.mark.parametrize("fault,holds", [
+    ("incorrect", False),      # one change run's outputs failed their check
+    ("more_failed", False),    # 1 of 20 change cells failed, none of the parent's
+    ("equal_failed", True),    # the same share failed on both sides
+], ids=["incorrect", "more-failed", "equal-failed"])
+def test_a_claim_needs_correct_runs_and_no_more_failures(bench_pairs, fault, holds):
+    runs = runs_of(PARENT, [1.3] * 10, "cells_per_s")
+    change = [r for r in runs if r["side"] == "change"]
+    if fault == "incorrect":
+        change[3]["correct"] = False
+    elif fault == "more_failed":
+        change[3]["failed"] = 1
+    elif fault == "equal_failed":
+        change[3]["failed"] = 1
+        next(r for r in runs if r["side"] == "parent")["failed"] = 1
+    s = bench_pairs.summarize(runs, END_TO_END[:1])["cells_per_s"]
+    assert (s["change_wins"], s["within_bound"]) == (10, True)
+    assert s["claim_holds"] is holds
+
+
+WIDE = [0.6, 1.4, 0.7, 1.3, 1.0, 1.0, 0.8, 1.2, 0.9, 1.1]  # IQR 0.35, median 1.0
+
+
+@pytest.mark.parametrize("parent,change,resolved", [
+    (PARENT, [0.98] * 10, True),           # spread 0.015 inside the bound 0.25
+    (WIDE, [0.98] * 10, False),            # spread 0.35 wider than the bound
+    (WIDE, [1.5] * 10, True),              # wide, but every change run is better
+    (WIDE, [1.39] + [1.5] * 9, False),     # one change run below the parent's best
+], ids=["narrow", "wide", "wide-beats-all", "wide-overlap"])
+def test_a_spread_wider_than_the_bound_is_unresolved(bench_pairs, parent, change,
+                                                     resolved):
+    s = bench_pairs.summarize(runs_of(parent, change, "cells_per_s"),
+                              END_TO_END[:1])["cells_per_s"]
+    assert s["resolved"] is resolved
 
 
 def test_main_writes_the_result_file(bench_pairs, tmp_path, monkeypatch):

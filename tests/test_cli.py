@@ -477,6 +477,27 @@ class TestExperimentAndReport:
         (line,) = out.splitlines()
         assert line.startswith(f"MISMATCH {key}: recomputed mean={mean!r}")
 
+    def test_report_rejects_a_nan_in_the_summary(self, experiment_run, tmp_path, capsys):
+        _, out_dir = experiment_run
+        bad = tmp_path / "nan"
+        shutil.copytree(out_dir, bad)
+        summary = (out_dir / "summary.md").read_text()
+        key, (mean, std, _) = next(iter(parse_summary(str(out_dir / "summary.md")).items()))
+        (bad / "summary.md").write_text(summary.replace(f"{mean!r} ± {std!r}", "nan ± nan", 1))
+        rc = cli.main(["report", str(bad)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        (line,) = out.splitlines()
+        assert line.startswith(f"MISMATCH {key}: recomputed mean={mean!r}")
+        assert line.endswith("summary mean=nan std=nan n=2")
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1e-09"])
+    def test_report_rejects_a_nan_or_negative_tolerance(self, experiment_run, capsys,
+                                                        tolerance):
+        _, out_dir = experiment_run
+        assert cli.main(["report", str(out_dir), f"--tolerance={tolerance}"]) == 2
+        assert f"--tolerance {float(tolerance)!r} must be >= 0" in capsys.readouterr().err
+
     def test_report_passes_after_a_rerun_with_another_mask_seed(
             self, experiment_run, tmp_path, capsys):
         cfg_path, out_dir = experiment_run

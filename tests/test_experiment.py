@@ -131,6 +131,7 @@ class TestExperimentConfig:
         ({"synth": {"n_sentence": 50}}, "unknown synth config keys"),
         ({"tagger": {"embed_dims": 8}}, "bad experiment config"),
         ({"tagger": {"patience": 0}}, "patience must be >= 1"),
+        ({"tagger": {"learning_rate": float("nan")}}, "learning_rate must be positive"),
     ])
     def test_from_dict_rejects_unknown_nested_keys(self, data, message):
         with pytest.raises(ConfigError, match=message):
@@ -146,6 +147,7 @@ class TestExperimentConfig:
     def test_selftrain_config_replaces_seed(self):
         cfg = smoke_config(self_train_epochs=7, teacher_refresh_period=3, hard_targets=True)
         st = cfg.selftrain_config(99)
+        assert type(st) is selftrain.SelfTrainConfig  # hashable: memo keys hold it
         assert st.tagger.seed == 99
         assert st.tagger.embed_dim == cfg.tagger.embed_dim
         assert st.self_train_epochs == 7
@@ -153,10 +155,11 @@ class TestExperimentConfig:
         assert st.hard_targets
 
     def test_every_self_training_setting_is_an_experiment_key(self):
-        # a run sets self-training through its config keys; guidance comes
-        # from the method name in run_method
-        fields = set(selftrain.SelfTrainConfig.__dataclass_fields__) - {"guidance"}
-        assert fields <= set(ExperimentConfig.__dataclass_fields__)
+        # a run sets self-training through its config keys, declared once on
+        # SelfTrainConfig; guidance comes from the method name in run_method
+        assert issubclass(ExperimentConfig, selftrain.SelfTrainConfig)
+        declared = set(vars(ExperimentConfig)["__annotations__"])
+        assert not declared & set(selftrain.SelfTrainConfig.__dataclass_fields__)
 
     def test_canonical_json_and_hash_are_stable(self):
         a, b = smoke_config(), smoke_config()

@@ -1,14 +1,14 @@
 """Tests for the two-stage self-training loop and its guided variant."""
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from partialner import selftrain, tagger
 from partialner.annotation import mask_entities, one_hot_rows, partial_from_labels
-from partialner.corpus import Corpus, SynthConfig, generate_synthetic
+from partialner.corpus import ConfigError, Corpus, SynthConfig, generate_synthetic
 from partialner.evaluation import evaluate_model
 from partialner.selftrain import (
     METHODS,
@@ -42,6 +42,11 @@ def fast_config(**overrides) -> SelfTrainConfig:
     return SelfTrainConfig(tagger=tcfg, **overrides)
 
 
+def stage_args(guided=False, **overrides) -> tuple[SelfTrainConfig, bool]:
+    """`self_train`'s config and guidance flag, from `fast_config` overrides."""
+    return fast_config(**overrides), guided
+
+
 @pytest.fixture(scope="module")
 def splits():
     trn = generate_synthetic(SynthConfig(n_sentences=120, seed=21, name="st-train"))
@@ -62,14 +67,19 @@ class TestConfig:
         cfg = SelfTrainConfig()
         assert cfg.self_train_epochs == 20
         assert cfg.teacher_refresh_period == 1
-        assert not cfg.guidance
+        assert not cfg.hard_targets
+
+    def test_holds_only_what_a_run_sets(self):
+        # guidance comes from the method name, the seed from `tagger`
+        assert [f.name for f in fields(SelfTrainConfig)] == [
+            "tagger", "teacher_refresh_period", "self_train_epochs", "hard_targets"]
 
     @pytest.mark.parametrize("bad", [
         dict(teacher_refresh_period=0),
         dict(self_train_epochs=0),
     ])
     def test_rejects_bad_values(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SelfTrainConfig(**bad)
 
 
@@ -116,9 +126,9 @@ class TestSelfTrain:
         # selection may still pick iteration 0, but the anchored rows must
         # produce real gradients, visible as a changed epoch-1 validation F1
         _, val = splits
-        cfg = fast_config(guidance=True, self_train_epochs=1)
+        cfg = fast_config(self_train_epochs=1)
         init = TaggerModel.init(cfg.tagger, val.scheme)
-        _, trace = self_train(init, masked, val, cfg)
+        _, trace = self_train(init, masked, val, cfg, guided=True)
         assert trace.val_f1[1] != trace.val_f1[0]
 
     def test_hard_targets_break_the_fixpoint(self, splits, masked):
@@ -138,18 +148,17 @@ class TestSelfTrain:
         # the returned checkpoint is the selected iteration's
         assert evaluate_model(model, val).f1 == pytest.approx(trace.best_f1)
 
-    @pytest.mark.parametrize("overrides", [{"guidance": True}, {}],
-                             ids=["guided", "closed_form"])
-    def test_trains_with_the_model_config(self, splits, masked, overrides):
+    @pytest.mark.parametrize("guided", [True, False], ids=["guided", "closed_form"])
+    def test_trains_with_the_model_config(self, splits, masked, guided):
         # tagger settings in the SelfTrainConfig other than the model's own
         # change nothing: the stage reads the model's config
         _, val = splits
-        own = fast_config(**overrides)
+        own = fast_config()
         other = replace(own, tagger=replace(own.tagger, hash_buckets=4096, seed=7,
                                             learning_rate=0.01))
         fitted, _ = ner_fit(masked, val, own)
         (want, want_trace), (got, got_trace) = (
-            self_train(fitted.copy(), masked, val, cfg) for cfg in (own, other))
+            self_train(fitted.copy(), masked, val, cfg, guided) for cfg in (own, other))
         assert got.config == own.tagger
         np.testing.assert_array_equal(got.rows, want.rows)
         for name, arr in full_params(want).items():
@@ -186,7 +195,8 @@ class TestClosedFormStage:
         for name, fn in (("closed", self_train), ("loop", selftrain._distill)):
             # both train their input in place; the loop gets a copy of it
             start = init if name == "closed" else init.copy()
-            runs[name] = fn(start, masked, val, fast_config(self_train_epochs=6, **overrides))
+            cfg = fast_config(self_train_epochs=6, **overrides)
+            runs[name] = fn(start, masked, val, cfg, False)
         (closed, closed_trace), (loop, loop_trace) = runs["closed"], runs["loop"]
         assert closed is init  # returned unchanged: the snapshot's bits
         for key, arr in full_params(before).items():
@@ -202,7 +212,7 @@ class TestClosedFormStage:
 
     @pytest.mark.parametrize("overrides,takes_loop", [
         ({}, False),
-        ({"guidance": True}, True),
+        ({"guided": True}, True),
         ({"hard_targets": True}, True),
     ])
     def test_only_the_fixpoint_skips_the_loop(self, splits, masked, inits,
@@ -215,7 +225,7 @@ class TestClosedFormStage:
             calls.append(args)
             return loop(*args)
         monkeypatch.setattr(tagger, "fit", spy)
-        self_train(inits["fitted"].copy(), masked, val, fast_config(**overrides))
+        self_train(inits["fitted"].copy(), masked, val, *stage_args(**overrides))
         assert len(calls) == int(takes_loop)
 
 
@@ -304,8 +314,8 @@ class TestPinnedTraces:
         _, val = splits
         fitted, fit_trace = ner_fit(masked, val, fast_config())
         self.check("ner_fit", fitted, fit_trace)
-        cfg = fast_config(guidance=True, self_train_epochs=4, teacher_refresh_period=2)
-        self.check("guided_self_train", *self_train(fitted, masked, val, cfg))
+        cfg = fast_config(self_train_epochs=4, teacher_refresh_period=2)
+        self.check("guided_self_train", *self_train(fitted, masked, val, cfg, guided=True))
 
     def test_hard_target_self_train(self, splits, masked):
         _, val = splits
@@ -322,10 +332,10 @@ class TestPinnedTraces:
 class TestStageTable:
     def test_guided_self_train_keeps_rows_outside_the_stage(self, splits, masked):
         _, val = splits
-        cfg = fast_config(guidance=True, self_train_epochs=4, teacher_refresh_period=2)
+        cfg = fast_config(self_train_epochs=4, teacher_refresh_period=2)
         init_model = ner_fit(masked, val, cfg)[0]
         start = init_model.copy()
-        model, trace = self_train(init_model, masked, val, cfg)
+        model, trace = self_train(init_model, masked, val, cfg, guided=True)
         assert trace.best_iteration > 0
         seqs = [p.tokens for p in masked] + [s.tokens for s in val.sentences]
         inside = np.unique(tagger.encode_tokens(seqs, cfg.tagger).ids)
@@ -478,7 +488,6 @@ class TestStageMemo:
                 np.testing.assert_array_equal(bits(full_params(b.model)[name]), bits(arr))
 
     @pytest.mark.parametrize("change,hit", [
-        ("guidance", True),
         ("self_train_epochs", True),
         ("equal_soft_copy", True),
         ("tagger_seed", False),
@@ -491,9 +500,7 @@ class TestStageMemo:
         cfg, soft = fast_config(), soft_targets(masked, val.scheme, 0.1)
         run_method("supervised", masked, val, cfg, soft)
         other_val = val
-        if change == "guidance":
-            cfg = replace(cfg, guidance=True)
-        elif change == "self_train_epochs":
+        if change == "self_train_epochs":
             cfg = replace(cfg, self_train_epochs=5)
         elif change == "equal_soft_copy":
             soft = replace(soft, rows=soft.rows.copy())

@@ -96,6 +96,8 @@ class TestConfig:
         dict(patience=0),
         dict(learning_rate=0.0),
         dict(learning_rate=-0.1),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
@@ -737,6 +739,8 @@ class TestSoftDataset:
         bad = np.full((2, scheme.tag_count), 0.5)
         with pytest.raises(ValueError, match="distributions"):
             SoftDataset((make_sentence("a b"),), bad, scheme)
+        with pytest.raises(ValueError, match="distributions"):  # NaN fails every check
+            SoftDataset((make_sentence("a b"),), bad * np.nan, scheme)
 
     def test_negative_mass_rejected(self, scheme, make_sentence):
         bad = np.zeros((1, scheme.tag_count))
