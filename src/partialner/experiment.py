@@ -261,11 +261,13 @@ def _worker_state(config: ExperimentConfig, cache_dir: str, lineage_dir: str) ->
 
 
 def _worker_cell(st: dict, args: tuple[str, float, int]) -> RunRecord:
-    """Run one cell, drawing its fraction's mask on the worker's first use."""
+    """Run one cell, drawing its fraction's mask when the worker's fraction
+    changes: cells arrive fraction by fraction, so each mask is drawn once
+    per worker and only the current one is kept."""
     method, fraction, seed = args
     if fraction not in st["masks"]:
-        st["masks"][fraction] = masked_partial(
-            st["train"], fraction, st["config"].mask_seed, st["cache_dir"])
+        st["masks"] = {fraction: masked_partial(
+            st["train"], fraction, st["config"].mask_seed, st["cache_dir"])}
     partial, kept = st["masks"][fraction]
     return run_cell(MethodSpec.parse(method), partial, kept, st["dev"],
                     st["test"], st["config"], fraction, seed, st["lineage_dir"])

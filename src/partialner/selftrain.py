@@ -72,8 +72,8 @@ def self_train(init_model: tagger.TaggerModel,
     """
     if guided or config.hard_targets:
         return _distill(init_model, partial, val, config, guided)
-    val_enc, val_gold = tagger.validation_set(val, init_model.config)
-    f1 = tagger.validation_f1(init_model, *init_model.positions(val_enc), val_gold)
+    table = tagger.StageTable(init_model, [], val)  # no training tokens: validation only
+    f1 = tagger.validation_f1(init_model, table.val_enc, table.val_gold, table.val_work)
     epochs, period = config.self_train_epochs, config.teacher_refresh_period
     return init_model, StageTrace("self_train", [f1] * (epochs + 1),
                                   list(range(period, epochs + 1, period)))

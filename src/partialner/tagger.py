@@ -28,6 +28,7 @@ from .rng import STREAM_INIT, STREAM_TRAIN, seeded_rng
 BOUNDARY_TOKEN = "__boundary__"  # reserved padding word, hashed like any other
 CHECKPOINT_MAGIC = "partialner.tagger.v1"
 LOG_FLOOR = 1e-12  # clamp inside log; only active where a target is impossible anyway
+SCORE_ROWS = 1024  # rows per scoring block: a 1.4 MB feature block at the default sizes
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ class TaggerModel:
         """(T, C) softmax outputs of the sentences back to back, and their
         (n + 1,) token offsets."""
         (enc,) = self.positions(encode_tokens(list(token_seqs), self.config))
-        return forward_flat(self, enc.ids, enc.flags)[2], enc.offsets
+        return score(self, enc.ids, enc.flags, score_workspace(self.config)), enc.offsets
 
     def sequence_distributions(self, token_seqs: Sequence[Sequence[str]]) -> list[np.ndarray]:
         """Per-sentence (L, C) softmax outputs."""
@@ -244,6 +245,26 @@ def _forward(model: TaggerModel, x: np.ndarray, h: np.ndarray | None = None,
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
     return x, h, probs
+
+
+def score_workspace(config: TaggerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The features and hidden arrays `score` computes a block in."""
+    rows = SCORE_ROWS + 1
+    return np.empty((rows, config.input_dim)), np.empty((rows, config.hidden_dim))
+
+
+def score(model: TaggerModel, ids: np.ndarray, flags: np.ndarray, work: tuple) -> np.ndarray:
+    """(T, C) probabilities of `forward_flat(model, ids, flags)` bit for bit,
+    computed SCORE_ROWS rows at a time in the workspace `work`
+    (`score_workspace`).  A 1-row tail joins the block before it: numpy
+    sends a 1-row product through gemv, whose sums differ from gemm's."""
+    total = ids.shape[0]
+    probs = np.empty((total, model.scheme.tag_count))
+    for start in range(0, max(total - 1, 1), SCORE_ROWS):
+        stop = total if total - start <= SCORE_ROWS + 1 else start + SCORE_ROWS
+        x = _features(model, ids[start:stop], flags[start:stop], work[0][:stop - start])
+        probs[start:stop] = _forward(model, x, work[1][:stop - start])[2]
+    return probs
 
 
 @dataclass
@@ -428,21 +449,13 @@ def _fixed_targets(data, scheme: LabelScheme,
     return [s.tokens for s in data.sentences], lambda tok, ids, flags: rows[tok]
 
 
-def validation_set(val: Corpus, config: TaggerConfig,
-                   ) -> tuple[EncodedTokens, np.ndarray]:
-    """Encoded validation tokens and their gold span keys, built once per stage."""
-    val_enc = encode_tokens([s.tokens for s in val.sentences], config)
-    return val_enc, evaluation.gold_keys(val)[0]
-
-
 def validation_f1(model: TaggerModel, val_enc: EncodedTokens, val_gold: np.ndarray,
-                  work: tuple = (None, None)) -> float:
+                  work: tuple) -> float:
     """Span micro-F1 of argmax predictions over a pre-encoded validation set
-    (positions in `model.rows`) and its gold keys from `validation_set`;
-    `evaluation.span_f1` over `decode_bio` spans bit for bit.  The forward
-    pass writes into the features and hidden arrays `work`, if given."""
-    probs = _forward(model, _features(model, val_enc.ids, val_enc.flags, work[0]), work[1])[2]
-    tags = np.argmax(probs, axis=1)
+    (positions in `model.rows`) and its gold keys (`evaluation.gold_keys`);
+    `evaluation.span_f1` over `decode_bio` spans bit for bit.  Scores in the
+    block workspace `work` (`score_workspace`)."""
+    tags = np.argmax(score(model, val_enc.ids, val_enc.flags, work), axis=1)
     pred = evaluation.bio_span_keys(tags, val_enc.offsets, model.scheme)
     return evaluation.key_scores(pred, val_gold, model.scheme).f1
 
@@ -450,17 +463,17 @@ def validation_f1(model: TaggerModel, val_enc: EncodedTokens, val_gold: np.ndarr
 class StageTable:
     """One training stage's inputs, built once: `model`, holding the `held` rows of
     the training and validation tokens, their encodings by `model.config` and
-    position, and the arrays each validation's forward pass reuses (`val_work`)."""
+    position, the validation gold keys and the block workspace every validation
+    of the stage reuses (`val_work`)."""
 
     def __init__(self, model: TaggerModel, token_seqs: Sequence[Sequence[str]], val: Corpus):
         config = model.config
         enc = encode_tokens(token_seqs, config)
-        val_enc, self.val_gold = validation_set(val, config)
-        self.model = model
+        val_enc = encode_tokens([s.tokens for s in val.sentences], config)
+        self.model, self.val_gold = model, evaluation.gold_keys(val)[0]
         self.enc, self.val_enc = model.positions(enc, val_enc)
         self.held = model.rows.size
-        tokens = self.val_enc.ids.shape[0]
-        self.val_work = np.empty((tokens, config.input_dim)), np.empty((tokens, config.hidden_dim))
+        self.val_work = score_workspace(config)
 
 
 def fit(table: StageTable, targets: Callable[..., np.ndarray],

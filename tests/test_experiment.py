@@ -361,6 +361,41 @@ class TestRunExperiment:
         assert experiment._POOL_STATE == {}
 
 
+class TestWorkerMasks:
+    """A cell worker draws each fraction's mask once and keeps only the
+    mask of the fraction it is running."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_mask_per_fraction_per_worker(self, tmp_path, monkeypatch, workers):
+        log = tmp_path / "masks.log"  # forked workers inherit the spies and append here
+        real_mask, real_cell = experiment.masked_partial, experiment._worker_cell
+
+        def record(*fields):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(" ".join(map(str, (os.getpid(), *fields))) + "\n")
+
+        def mask(train, fraction, *args):
+            record("draw", fraction)
+            return real_mask(train, fraction, *args)
+
+        def cell(st, args):
+            out = real_cell(st, args)
+            record("held", args[1], *st["masks"])
+            return out
+        monkeypatch.setattr(experiment, "masked_partial", mask)
+        monkeypatch.setattr(experiment, "_worker_cell", cell)
+        cfg = smoke_config(methods=("supervised",), fractions=(0.2, 0.5, 0.8), workers=workers)
+        rows = read_rows(run_experiment(cfg, str(tmp_path / "run")))[1:]
+        assert all(r[RESULT_COLUMNS.index("error")] == "" for r in rows)
+        lines = [line.split() for line in log.read_text().splitlines()]
+        draws = [tuple(line) for line in lines if line[1] == "draw"]
+        assert len(draws) == len(set(draws))  # one draw per fraction per worker
+        assert {f for _, _, f in draws} == {repr(f) for f in cfg.fractions}
+        held = [line[2:] for line in lines if line[1] == "held"]
+        assert len(held) == len(rows)
+        assert all(keys == [fraction] for fraction, *keys in held)
+
+
 class TestSharedEstimate:
     """Both bde: finals of one inner method share each cross-fit estimate."""
 

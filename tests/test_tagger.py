@@ -1,6 +1,7 @@
 """Tests for the windowed feedforward tagger: encoding, gradients, training."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from partialner.annotation import one_hot_rows
 from partialner.corpus import (Corpus, LabelScheme, Sentence, SynthConfig, decode_bio,
                                generate_synthetic)
-from partialner.evaluation import evaluate_model, span_f1
+from partialner import tagger
+from partialner.evaluation import (bio_span_keys, evaluate_model, gold_keys, key_scores,
+                                   span_f1)
 from partialner.rng import STREAM_INIT, seeded_rng
 from partialner.tagger import (
     BOUNDARY_TOKEN,
@@ -32,11 +35,12 @@ from partialner.tagger import (
     initial_rows,
     load_checkpoint,
     save_checkpoint,
+    score,
+    score_workspace,
     sentence_weights,
     sgd_step,
     train,
     validation_f1,
-    validation_set,
 )
 
 
@@ -544,7 +548,8 @@ class TestValidationF1:
 
     def test_equals_span_f1_over_decode_bio(self, learnable, models):
         _, val = learnable
-        val_enc, val_gold = validation_set(val, small_config())
+        val_enc = encode_tokens([s.tokens for s in val.sentences], small_config())
+        val_gold = gold_keys(val)[0]
         scores = set()
         for model in models:
             (enc,) = model.positions(val_enc)
@@ -552,10 +557,102 @@ class TestValidationF1:
             pred = [decode_bio(np.argmax(probs[a:b], axis=1).tolist(), val.scheme)
                     for a, b in zip(val_enc.offsets[:-1], val_enc.offsets[1:])]
             want = span_f1(pred, val.gold_spans()).f1
-            got = validation_f1(model, enc, val_gold)
+            got = validation_f1(model, enc, val_gold, score_workspace(model.config))
             assert got.hex() == want.hex()
             scores.add(got)
         assert len(scores) >= 4  # the models really disagree
+
+
+class TestBlockedScoring:
+    """`score` works in blocks of SCORE_ROWS rows (lowered here to keep the
+    cases small) and equals one `forward_flat` over the whole input."""
+
+    B = 16
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """The row count of every block `score` computes in this test."""
+        monkeypatch.setattr(tagger, "SCORE_ROWS", self.B)
+        sizes, real = [], tagger._forward
+
+        def spy(model, x, h=None):
+            sizes.append(x.shape[0])
+            return real(model, x, h)
+        monkeypatch.setattr(tagger, "_forward", spy)
+        return sizes
+
+    @pytest.fixture(scope="class")
+    def scored(self):
+        """A model at the default sizes, a validation set at its positions
+        and its gold labels, back to back."""
+        val = generate_synthetic(SynthConfig(n_sentences=30, seed=5, name="blocks"))
+        model = TaggerModel.init(TaggerConfig(hash_buckets=4096, seed=1), val.scheme)
+        (enc,) = model.positions(encode_tokens([s.tokens for s in val.sentences], model.config))
+        labels = np.array([l for s in val.sentences for l in s.labels])
+        assert enc.ids.shape[0] > 2 * self.B + 1
+        return model, enc, labels
+
+    @pytest.mark.parametrize("total", [1, 2, B - 1, B, B + 1, B + 2, 2 * B, 2 * B + 1])
+    def test_block_edges_are_bit_identical(self, scored, blocks, total):
+        model, enc, labels = scored
+        ids, flags = enc.ids[:total], enc.flags[:total]
+        want = forward_flat(model, ids, flags)[2]
+        blocks.clear()
+        work = score_workspace(model.config)
+        assert work[0].shape[0] == work[1].shape[0] == self.B + 1
+        got = score(model, ids, flags, work)
+        assert_same_bits(got, want, f"{total} rows")
+        assert sum(blocks) == total
+        assert max(blocks) <= self.B + 1
+        assert total == 1 or min(blocks) > 1  # a 1-row tail joins the block before it
+        offsets = np.append(enc.offsets[enc.offsets < total], total)
+        part = EncodedTokens(ids, flags, offsets)
+        gold = bio_span_keys(labels[:total], offsets, model.scheme)
+        pred = bio_span_keys(np.argmax(want, axis=1), offsets, model.scheme)
+        f1 = validation_f1(model, part, gold, work)
+        assert f1.hex() == key_scores(pred, gold, model.scheme).f1.hex()
+
+
+class TestScoringMemory:
+    """Scoring holds one block workspace, whatever the number of tokens."""
+
+    @staticmethod
+    def bound(config) -> int:
+        """Four feature blocks: room for the workspace, the embedding gather
+        of one block and the per-token arrays, but not for one (T, input_dim)
+        array of a corpus of more than four blocks."""
+        return 4 * (tagger.SCORE_ROWS + 1) * config.input_dim * 8
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        """A corpus of more than four blocks and a model holding its rows."""
+        corpus = generate_synthetic(SynthConfig(n_sentences=700, seed=9, name="big"))
+        model = TaggerModel.init(TaggerConfig(), corpus.scheme)
+        evaluate_model(model, corpus)  # draws the rows and fills the bucket cache first
+        tokens = sum(map(len, corpus.sentences))
+        assert tokens * model.config.input_dim * 8 > self.bound(model.config)
+        return model, corpus
+
+    @staticmethod
+    def peak_bytes(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_evaluate_model(self, big):
+        model, corpus = big
+        assert self.peak_bytes(lambda: evaluate_model(model, corpus)) < self.bound(model.config)
+
+    def test_stage_validation(self, big):
+        model, corpus = big
+
+        def validate():
+            table = StageTable(model, [], corpus)
+            validation_f1(model, table.val_enc, table.val_gold, table.val_work)
+        assert self.peak_bytes(validate) < self.bound(model.config)
 
 
 def unlearnable_splits(scheme):
