@@ -47,7 +47,7 @@ def guided_stage(config_path: str, fraction: float, seed: int):
     config = experiment.ExperimentConfig.from_json(config_path)
     train, dev, _ = experiment.load_corpora(config)
     partial, _ = annotation.mask_entities(train, fraction, config.mask_seed)
-    init_model, _ = selftrain.ner_fit(partial, dev, config.selftrain_config(seed))
+    init_model, _ = selftrain.ner_fit(partial, dev, config.with_seed(seed))
     return tagger.StageTable(init_model, [p.tokens for p in partial], dev), partial
 
 

@@ -123,48 +123,43 @@ def partition(n: int, k: int, seed: int) -> LineageRecord:
                          sentence_fold.tolist())
 
 
-def _with_seed(config: selftrain.SelfTrainConfig, seed: int) -> selftrain.SelfTrainConfig:
-    return replace(config, tagger=replace(config.tagger, seed=seed))
-
-
 def estimate_base(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
                   config: BdeConfig) -> tuple[tagger.SoftDataset, LineageRecord]:
     """Per fold, train the inner method on the complement and score the fold.
 
     The estimate does not read `config.final_method`, so it goes through the
-    stage memo keyed by the corpora, `k`, `inner_method` and `selftrain`
-    (with the seed), and the final method is the one asking: the other final
-    method takes a copy, whose lineage is verified again, instead of
-    recomputing it.
+    stage memo scoped by the corpora and keyed by `k`, `inner_method` and
+    `selftrain` (with the seed), and the final method is the one asking: the
+    other final method takes a private copy instead of recomputing it.  Every
+    call verifies the lineage it returns.
     """
-    corpora = (tuple(partial), val)
-    key = (config.k, config.inner_method, config.selftrain)
-    held = selftrain.memo.take("estimate", corpora, key, config.final_method)
-    if held is not None:
-        soft, lineage = _private(*held)
-        lineage.verify()
-        return soft, lineage
+    soft, lineage = selftrain.memo.fetch(
+        "estimate", (tuple(partial), val), (config.k, config.inner_method, config.selftrain),
+        config.final_method, lambda: _estimate(partial, val, config), _private)
+    lineage.verify()
+    return soft, lineage
+
+
+def _estimate(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
+              config: BdeConfig) -> tuple[tagger.SoftDataset, LineageRecord]:
     lineage = partition(len(partial), config.k, derive_seed(config.seed, 0))
     offsets = np.cumsum([0, *map(len, partial)])
     rows = np.empty((offsets[-1], val.scheme.tag_count))  # every sentence is scored once
     for i, (train_ids, scored_ids) in enumerate(
             zip(lineage.fold_train_ids, lineage.fold_scored_ids)):
-        inner_cfg = _with_seed(config.selftrain, derive_seed(config.seed, 1, i))
+        inner_cfg = config.selftrain.with_seed(derive_seed(config.seed, 1, i))
         out = selftrain.run_method(config.inner_method,
                                    [partial[s] for s in train_ids], val, inner_cfg)
         seqs = out.model.sequence_distributions(
             [partial[s].tokens for s in scored_ids])
         for s, d in zip(scored_ids, seqs):
             rows[offsets[s]:offsets[s + 1]] = d
-    lineage.verify()
-    soft = tagger.SoftDataset(tuple(p.sentence for p in partial), rows, val.scheme)
-    selftrain.memo.put("estimate", corpora, key, config.final_method,
-                       _private(soft, lineage))
-    return soft, lineage
+    return tagger.SoftDataset(tuple(p.sentence for p in partial), rows, val.scheme), lineage
 
 
-def _private(soft: tagger.SoftDataset, lineage: LineageRecord,
+def _private(estimate: tuple[tagger.SoftDataset, LineageRecord],
              ) -> tuple[tagger.SoftDataset, LineageRecord]:
+    soft, lineage = estimate
     return replace(soft, rows=soft.rows.copy()), copy.deepcopy(lineage)
 
 
@@ -177,7 +172,7 @@ def train_on_base(partial: Sequence[PartiallyAnnotatedSentence],
     final_method=supervised is that soft-target fit; final_method=guided_bond
     runs guided self-training from it, pinning the kept spans of `partial`.
     """
-    cfg = _with_seed(config.selftrain, derive_seed(config.seed, 2))
+    cfg = config.selftrain.with_seed(derive_seed(config.seed, 2))
     return selftrain.run_method(config.final_method, partial, val, cfg, soft)
 
 

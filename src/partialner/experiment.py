@@ -136,11 +136,6 @@ class ExperimentConfig(selftrain.SelfTrainConfig):
         with open(path, "r", encoding="utf-8") as fh:
             return ExperimentConfig.from_dict(json.load(fh))
 
-    def selftrain_config(self, seed: int) -> selftrain.SelfTrainConfig:
-        """The self-training settings, model seed `seed`, as the plain type memo keys hash."""
-        settings = {f.name: getattr(self, f.name) for f in fields(selftrain.SelfTrainConfig)}
-        return selftrain.SelfTrainConfig(**{**settings, "tagger": replace(self.tagger, seed=seed)})
-
 
 def canonical_json(config: ExperimentConfig) -> str:
     return json.dumps(asdict(config), sort_keys=True, default=str)
@@ -218,7 +213,7 @@ def train_spec(spec: MethodSpec, partial: Sequence[PartiallyAnnotatedSentence],
     """Train one method spec with the config's training settings and model
     seed `seed`.  A `bde:` spec writes its soft targets and lineage record to
     `soft_path` and `lineage_path` when given; other specs write nothing."""
-    st_cfg = config.selftrain_config(seed)
+    st_cfg = config.with_seed(seed)
     if spec.kind != "bde":
         return selftrain.run_method(spec.kind, partial, dev, st_cfg)
     bde_cfg = bde.BdeConfig(config.bde_k, spec.inner, spec.final, st_cfg)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,6 +40,11 @@ class SelfTrainConfig:
             raise ConfigError("teacher_refresh_period must be >= 1")
         if self.self_train_epochs < 1:
             raise ConfigError("self_train_epochs must be >= 1")
+
+    def with_seed(self, seed: int) -> "SelfTrainConfig":
+        """These settings with model seed `seed`, as the plain type memo keys hold."""
+        settings = {f.name: getattr(self, f.name) for f in fields(SelfTrainConfig)}
+        return SelfTrainConfig(**{**settings, "tagger": replace(self.tagger, seed=seed)})
 
 
 def ner_fit(partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
@@ -114,43 +119,34 @@ class StageMemo:
     """Stage results kept for the other methods that train the same stage on
     equal inputs.
 
-    Each stage's entries belong to one (partial, validation) corpus pair; a
-    request with another pair drops them, so the cross-fit estimate's own
-    fold fits leave the estimates of the outer pair in place.  An entry is
-    keyed by the values its stage reads, and records the methods that
-    produced or received it.  `take` hands a method an entry it has neither
-    produced nor received; otherwise it returns None, and the caller trains
-    the stage again and `put`s the result in its place.  So a repeated cell
-    trains again.  A `take` with `latest_only` that misses drops the
-    stage's entries, so the fit, whose askers run in a row, holds one entry
-    and frees it before it trains again; the estimate, which the
-    method-by-method order of the acceptance matrix asks for across seeds,
-    keeps one entry per key.  Each entry is a private copy; a caller copies
-    out of what `take` returns.
+    An entry is keyed by the values its stage reads, and records the methods
+    that produced or received it.  `fetch` hands a method a private copy of
+    an entry it has neither produced nor received; otherwise it computes the
+    stage, keeps a private copy of the result and returns the result, so a
+    repeated cell trains again.  Each stage keeps the entries of one scope: a
+    miss in another scope drops them, and a miss drops its own stale entry,
+    both before the stage is computed.  The fit's scope is its whole key, so
+    it holds one entry; the estimate's is its (partial, validation) corpus
+    pair, so it keeps one entry per key across seeds, and its own fold fits,
+    another stage, leave them in place.
     """
 
     def __init__(self):
-        self.stages: dict = {}  # stage -> (corpora, {key: (value, methods)})
+        self.stages: dict = {}  # stage -> (scope, {key: (value, methods)})
 
-    def _entries(self, stage: str, corpora: tuple) -> dict:
+    def fetch(self, stage: str, scope, key, method: str,
+              compute: Callable, private: Callable):
         held = self.stages.get(stage)
-        if held is None or held[0] != corpora:
-            held = self.stages[stage] = (corpora, {})
-        return held[1]
-
-    def take(self, stage: str, corpora: tuple, key: tuple, method: str,
-             latest_only: bool = False):
-        entries = self._entries(stage, corpora)
-        entry = entries.get(key)
-        if entry is None or method in entry[1]:
-            if latest_only:
-                entries.clear()  # freed before the caller trains the stage again
-            return None
-        entry[1].add(method)
-        return entry[0]
-
-    def put(self, stage: str, corpora: tuple, key: tuple, method: str, value) -> None:
-        self._entries(stage, corpora)[key] = (value, {method})
+        if held is None or held[0] != scope:
+            held = self.stages[stage] = (scope, {})
+        entry = held[1].get(key)
+        if entry is not None and method not in entry[1]:
+            entry[1].add(method)
+            return private(entry[0])
+        held[1].pop(key, None)  # freed before the stage is computed again
+        value = compute()
+        held[1][key] = (private(value), {method})
+        return value
 
 
 memo = StageMemo()
@@ -159,19 +155,15 @@ memo = StageMemo()
 def _memo_fit(method: str, partial: Sequence[PartiallyAnnotatedSentence], val: Corpus,
               config: SelfTrainConfig, soft: tagger.SoftDataset | None,
               ) -> tuple[tagger.TaggerModel, StageTrace]:
-    """`ner_fit` through the memo, keyed by what it reads: the corpora, the
-    tagger config and the soft targets' values.  An entry is a copy of the
-    fitted model and its trace."""
-    corpora = (tuple(partial), val)
+    """`ner_fit` through the memo, keyed and scoped by what it reads: the
+    corpora, the tagger config and the soft targets' values.  Its one entry
+    is a copy of the fitted model and its trace."""
     key = (config.tagger, None if soft is None else (
         soft.sentences, soft.rows.shape,
         hashlib.sha256(np.ascontiguousarray(soft.rows, dtype=np.float64)).digest()))
-    held = memo.take("ner_fit", corpora, key, method, latest_only=True)
-    if held is not None:
-        return held[0].copy(), copy.deepcopy(held[1])
-    model, trace = ner_fit(partial, val, config, soft)
-    memo.put("ner_fit", corpora, key, method, (model.copy(), copy.deepcopy(trace)))
-    return model, trace
+    return memo.fetch("ner_fit", (tuple(partial), val, key), key, method,
+                      lambda: ner_fit(partial, val, config, soft),
+                      lambda fit: (fit[0].copy(), copy.deepcopy(fit[1])))
 
 
 @dataclass

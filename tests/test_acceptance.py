@@ -95,7 +95,7 @@ def gold_run(bench_config, bench_corpora):
     train, dev, test = bench_corpora
     start = time.perf_counter()
     out = run_method("supervised", partial_from_labels(train), dev,
-                     bench_config.selftrain_config(0))
+                     bench_config.with_seed(0))
     from partialner.evaluation import evaluate_model
     f1 = evaluate_model(out.model, test).f1
     return f1, time.perf_counter() - start

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partialner.annotation import (EMPTY_ANNOTATIONS, EntityAnnotationSet,
-                                   guide_correct, mask_entities, one_hot,
-                                   one_hot_rows, partial_from_kept,
+                                   PartiallyAnnotatedSentence, guide_correct,
+                                   mask_entities, one_hot, one_hot_rows, partial_from_kept,
                                    partial_from_labels, read_kept_sidecar,
                                    to_corpus, write_kept_sidecar)
 from partialner.corpus import (Corpus, EntitySpan, LabelScheme, Sentence,
@@ -169,6 +169,34 @@ class TestMasking:
 def test_partial_from_kept_checks_index(tiny_corpus):
     with pytest.raises(ValueError):
         partial_from_kept(tiny_corpus, [(99, EntitySpan(0, 1, "PER"))])
+
+
+class TestPartiallyAnnotatedSentence:
+    TOKENS = ("Anna", "Keller", "lives", "in", "Oslo", ".")
+
+    def sentence(self, scheme, *spans):
+        return Sentence(self.TOKENS, tuple(encode_bio(spans, len(self.TOKENS), scheme)))
+
+    def test_needs_hard_labels(self):
+        with pytest.raises(ValueError, match="needs hard labels"):
+            PartiallyAnnotatedSentence(Sentence(self.TOKENS), EMPTY_ANNOTATIONS)
+
+    def test_rejects_a_span_past_the_end(self, scheme):
+        labelled = self.sentence(scheme, EntitySpan(4, 6, "LOC"))
+        with pytest.raises(ValueError, match="exceeds sentence length"):
+            PartiallyAnnotatedSentence(labelled, EntityAnnotationSet((EntitySpan(4, 8, "LOC"),)))
+
+    # the self-training guidance reads a partial sentence's known tokens off
+    # its labels (labels != O), which holds only while they agree with the spans
+    @pytest.mark.parametrize("labelled,known,token", [
+        ((EntitySpan(0, 2, "PER"),), (), 0),
+        ((), (EntitySpan(4, 5, "LOC"),), 4),
+        ((EntitySpan(0, 2, "PER"),), (EntitySpan(0, 1, "PER"),), 1),
+    ], ids=["unlisted-entity", "listed-span-labelled-O", "span-shorter-than-labels"])
+    def test_rejects_labels_that_disagree_with_the_spans(self, scheme, labelled, known, token):
+        with pytest.raises(ValueError, match=f"inconsistent with known spans at token {token}"):
+            PartiallyAnnotatedSentence(self.sentence(scheme, *labelled),
+                                       EntityAnnotationSet(known))
 
 
 def test_partial_from_labels_keeps_everything(tiny_corpus):

@@ -2,6 +2,7 @@
 
 import copy
 import re
+import struct
 from dataclasses import fields, replace
 
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partialner import bde, selftrain
-from partialner.annotation import mask_entities, partial_from_labels
+from partialner.annotation import mask_entities, one_hot_rows, partial_from_labels
 from partialner.bde import (
     BdeConfig,
     LineageRecord,
@@ -23,7 +24,7 @@ from partialner.bde import (
     save_soft,
     train_on_base,
 )
-from partialner.corpus import Corpus, Sentence, SynthConfig, generate_synthetic
+from partialner.corpus import Corpus, LabelScheme, Sentence, SynthConfig, generate_synthetic
 from partialner.evaluation import evaluate_model
 from partialner.rng import derive_seed
 from partialner.selftrain import RunOutput, SelfTrainConfig, run_method
@@ -226,6 +227,41 @@ class TestSoftIO:
         path.write_bytes(path.read_bytes() + b"\x00" * 4)
         with pytest.raises(ValueError, match=re.escape(f"{path}: bytes left")):
             load_soft(str(path), masked, val.scheme)
+
+
+class TestSoftHeaders:
+    """`load_soft` checks each header field against the corpus it pairs with."""
+
+    # magic (8), then u32 version, tag count, sentence count; per sentence a
+    # u32 id and length, then its rows
+    @pytest.mark.parametrize("offset,value,message", [
+        (8, 2, "unsupported version 2"),
+        (20, 1, "sentence id 1 out of order"),
+        (24, 7, "sentence 0 length 7 != 6"),
+    ], ids=["version", "sentence-id", "sentence-length"])
+    def test_rejects_a_header_field(self, tiny_corpus, tmp_path, offset, value, message):
+        partial = partial_from_labels(tiny_corpus)
+        path = tmp_path / "soft.bin"
+        save_soft(hard_soft(partial, tiny_corpus.scheme), str(path))
+        data = bytearray(path.read_bytes())
+        data[offset:offset + 4] = struct.pack("<I", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_soft(str(path), partial, tiny_corpus.scheme)
+
+    def test_rejects_another_tag_count(self, tiny_corpus, tmp_path):
+        partial = partial_from_labels(tiny_corpus)
+        path = str(tmp_path / "soft.bin")
+        save_soft(hard_soft(partial, tiny_corpus.scheme), path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: 7 tags, scheme has 3")):
+            load_soft(path, partial, LabelScheme(("PER",)))
+
+
+def hard_soft(partial, scheme) -> SoftDataset:
+    """One-hot soft targets of the partial labels."""
+    return SoftDataset(tuple(p.sentence for p in partial),
+                       one_hot_rows([l for p in partial for l in p.labels], scheme.tag_count),
+                       scheme)
 
 
 class TestEstimateBase:

@@ -123,6 +123,14 @@ class TestExitCodes:
         assert rc == 2
         assert "unknown synth config keys" in capsys.readouterr().err
 
+    def test_json_array_config_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "synth.json"
+        bad.write_text(json.dumps([["n_sentences", 5]]))
+        rc = cli.main(["synth", "--config", str(bad), "--out", str(tmp_path / "c.conll")])
+        assert rc == 2
+        assert f"{bad}: expected a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "c.conll").exists()
+
     def test_non_json_config_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "experiment.json"
         bad.write_text("fractions: [0.5]\n")

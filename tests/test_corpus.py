@@ -1,4 +1,6 @@
 """Label scheme layout, BIO codecs, CoNLL parsing, synthetic generation."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,3 +236,14 @@ class TestSynthetic:
     def test_bad_config(self):
         with pytest.raises(ConfigError):
             SynthConfig(n_sentences=-1)
+
+    @pytest.mark.parametrize("change,message", [
+        (dict(templates=("{PER} met {XYZ} .",)), "slot '{XYZ}' names an unknown category"),
+        (dict(templates=("{PER} left .",), gazetteers={"PER": ()}),
+         "empty gazetteer for category 'PER'"),
+        (dict(templates=("{LOC} rose .", "   ")), "blank template '   '"),
+        (dict(templates=()), "empty template pool"),
+    ], ids=["unknown-slot", "empty-gazetteer", "blank-template", "empty-pool"])
+    def test_bad_templates(self, change, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            generate_synthetic(SynthConfig(n_sentences=5, seed=1, **change))

@@ -415,36 +415,68 @@ def assert_same_fit(got, want):
     np.testing.assert_array_equal(model.rows, want_model.rows)
 
 
+def memo_fetch(memo, stage, scope, key, method, computed):
+    """`memo.fetch` of a stage whose value names the method that computed it;
+    each computation is logged in `computed` after checking that no stale
+    entry of its key is held while it runs."""
+    def compute():
+        assert key not in memo.stages[stage][1]  # freed before the stage runs
+        computed.append((stage, key, method))
+        return [method]
+    return memo.fetch(stage, scope, key, method, compute, list)
+
+
 class TestStageMemo:
     def test_each_method_takes_an_entry_once(self):
-        memo, corpora = selftrain.StageMemo(), (("s1", "s2"), "val")
-        memo.put("fit", corpora, ("k",), "supervised", "fit")
-        assert memo.take("fit", corpora, ("k",), "supervised") is None  # it produced it
-        assert memo.take("fit", corpora, ("k",), "bond") == "fit"
-        assert memo.take("fit", corpora, ("k",), "bond") is None  # it received it
-        assert memo.take("fit", corpora, ("k",), "guided_bond") == "fit"
-        assert memo.take("fit", corpora, ("other",), "x") is None
-        assert memo.take("estimate", corpora, ("k",), "x") is None
-        memo.put("fit", corpora, ("k",), "bond", "refit")  # replaces the entry
-        assert memo.take("fit", corpora, ("k",), "guided_bond") == "refit"
+        memo, scope, computed = selftrain.StageMemo(), (("s1", "s2"), "val"), []
 
-    def test_a_latest_only_miss_drops_the_stage_s_entries(self):
-        memo, corpora = selftrain.StageMemo(), (("s1", "s2"), "val")
-        memo.put("fit", corpora, ("seed0",), "a", "fit0")
-        memo.put("estimate", corpora, ("seed0",), "a", "estimate0")
-        assert memo.take("fit", corpora, ("seed0",), "b", latest_only=True) == "fit0"
-        assert memo.take("fit", corpora, ("seed1",), "a", latest_only=True) is None
-        assert memo.stages["fit"][1] == {}  # freed before the fit trains again
-        memo.put("fit", corpora, ("seed1",), "a", "fit1")
-        assert memo.take("fit", corpora, ("seed1",), "a", latest_only=True) is None
-        assert memo.stages["fit"][1] == {}  # a method asking again trains again
-        assert memo.take("estimate", corpora, ("seed1",), "b") is None  # keeps the rest
-        assert memo.take("estimate", corpora, ("seed0",), "b") == "estimate0"
+        def fetch(method, stage="fit", key=("k",)):
+            return memo_fetch(memo, stage, scope, key, method, computed)
+        assert fetch("supervised") == ["supervised"]
+        assert fetch("supervised") == ["supervised"]  # it produced it: computed again
+        assert fetch("bond") == ["supervised"]
+        assert fetch("guided_bond") == ["supervised"]
+        assert fetch("bond") == ["bond"]  # it received it: computed again ...
+        assert fetch("guided_bond") == ["bond"]  # ... and the entry replaced
+        assert fetch("x", key=("other",)) == ["x"]
+        assert fetch("x", stage="estimate") == ["x"]
+        assert [method for _, _, method in computed] == ["supervised", "supervised",
+                                                         "bond", "x", "x"]
+
+    def test_entries_are_private_copies(self):
+        memo, value = selftrain.StageMemo(), ["fit"]
+        assert memo.fetch("fit", "scope", "k", "a", lambda: value, list) is value
+        held = memo.stages["fit"][1]["k"][0]
+        assert held == value and held is not value  # the memo keeps a copy ...
+        got = memo.fetch("fit", "scope", "k", "b", pytest.fail, list)
+        assert got == value and got is not held  # ... and hands out another
+
+    def test_a_miss_frees_the_stale_entry(self):
+        memo, corpora, computed = selftrain.StageMemo(), (("s1", "s2"), "val"), []
+
+        def fit(seed, method):  # the fit's scope is its whole key
+            return memo_fetch(memo, "fit", (corpora, seed), seed, method, computed)
+
+        def estimate(seed, method):  # the estimate's is its corpora
+            return memo_fetch(memo, "estimate", corpora, seed, method, computed)
+        fit("seed0", "a")
+        estimate("seed0", "a")
+        assert fit("seed0", "b") == ["a"]
+        assert fit("seed1", "a") == ["a"]  # another scope: seed0 is dropped
+        assert list(memo.stages["fit"][1]) == ["seed1"]
+        assert fit("seed1", "a") == ["a"]  # a method asking again computes again
+        assert list(memo.stages["fit"][1]) == ["seed1"]
+        assert fit("seed0", "b") == ["b"]
+        assert estimate("seed1", "b") == ["b"]  # the estimate keeps one entry per key
+        assert estimate("seed0", "b") == ["a"]
+        assert estimate("seed0", "a") == ["a"]  # it produced it: stale, freed first
+        assert estimate("seed1", "a") == ["b"]
+        assert len(computed) == 7
 
     def test_the_fit_keeps_one_entry(self, splits, masked, stage_spy):
         _, val = splits
         cfg = fast_config()
-        other = replace(cfg, tagger=replace(cfg.tagger, seed=cfg.tagger.seed + 1))
+        other = cfg.with_seed(cfg.tagger.seed + 1)
         for config in (cfg, other):
             run_method("supervised", masked, val, config)
         assert len(selftrain.memo.stages["ner_fit"][1]) == 1
@@ -454,11 +486,17 @@ class TestStageMemo:
 
     def test_another_pair_drops_only_its_stage(self):
         memo, corpora, fold = selftrain.StageMemo(), (("s1", "s2"), "val"), (("s1",), "val")
-        memo.put("fit", corpora, ("k",), "a", "fit")
-        memo.put("estimate", corpora, ("k",), "a", "estimate")
-        assert memo.take("fit", fold, ("k",), "b") is None  # a fold's fit ...
-        assert memo.take("estimate", corpora, ("k",), "b") == "estimate"  # ... keeps this
-        assert memo.take("fit", corpora, ("k",), "b") is None  # and dropped that
+        computed = []
+
+        def fetch(stage, scope):
+            return memo_fetch(memo, stage, scope, ("k",), "b", computed)
+        for stage in ("fit", "estimate"):
+            memo_fetch(memo, stage, corpora, ("k",), "a", computed)
+        assert fetch("fit", fold) == ["b"]  # a fold's fit ...
+        assert fetch("estimate", corpora) == ["a"]  # ... keeps this
+        assert fetch("fit", corpora) == ["b"]  # and dropped that
+        assert computed == [("fit", ("k",), "a"), ("estimate", ("k",), "a"),
+                            ("fit", ("k",), "b"), ("fit", ("k",), "b")]
 
     @pytest.mark.parametrize("smoothing", [None, 0.1], ids=["hard", "soft"])
     def test_a_hit_is_the_fit_bit_for_bit(self, splits, masked, smoothing):
@@ -505,7 +543,7 @@ class TestStageMemo:
         elif change == "equal_soft_copy":
             soft = replace(soft, rows=soft.rows.copy())
         elif change == "tagger_seed":
-            cfg = replace(cfg, tagger=replace(cfg.tagger, seed=1))
+            cfg = cfg.with_seed(1)
         elif change == "soft_values":
             soft = soft_targets(masked, val.scheme, 0.2)
         elif change == "hard_labels":
