@@ -417,10 +417,11 @@ def assert_same_fit(got, want):
 
 def memo_fetch(memo, stage, scope, key, method, computed):
     """`memo.fetch` of a stage whose value names the method that computed it;
-    each computation is logged in `computed` after checking that no stale
-    entry of its key is held while it runs."""
+    each computation is logged in `computed` after checking that, while it
+    runs, the stage holds only the asking scope and no stale entry of its key."""
     def compute():
-        assert key not in memo.stages[stage][1]  # freed before the stage runs
+        held_scope, entries = memo.stages[stage]
+        assert held_scope == scope and key not in entries  # freed before the stage runs
         computed.append((stage, key, method))
         return [method]
     return memo.fetch(stage, scope, key, method, compute, list)
@@ -462,7 +463,8 @@ class TestStageMemo:
         fit("seed0", "a")
         estimate("seed0", "a")
         assert fit("seed0", "b") == ["a"]
-        assert fit("seed1", "a") == ["a"]  # another scope: seed0 is dropped
+        assert fit("seed1", "a") == ["a"]  # another scope: seed0 is dropped ...
+        assert computed[-1] == ("fit", "seed1", "a")  # ... before seed1's compute ran
         assert list(memo.stages["fit"][1]) == ["seed1"]
         assert fit("seed1", "a") == ["a"]  # a method asking again computes again
         assert list(memo.stages["fit"][1]) == ["seed1"]
