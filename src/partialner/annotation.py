@@ -8,13 +8,14 @@ row passes through bitwise unchanged, with no renormalization anywhere.
 from __future__ import annotations
 
 import csv
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import evaluation
 from .corpus import Corpus, EntitySpan, LabelScheme, Sentence, encode_bio
-from .evaluation import gold_spans
 from .rng import STREAM_MASK, seeded_rng
 
 
@@ -48,17 +49,8 @@ class EntityAnnotationSet:
 EMPTY_ANNOTATIONS = EntityAnnotationSet(())
 
 
-def one_hot(label: int, tag_count: int) -> np.ndarray:
-    """One-hot distribution over `tag_count` tag indices."""
-    if not 0 <= label < tag_count:
-        raise ValueError(f"label {label} out of range [0, {tag_count})")
-    v = np.zeros(tag_count)
-    v[label] = 1.0
-    return v
-
-
 def one_hot_rows(labels: Sequence[int], tag_count: int) -> np.ndarray:
-    """(L, C) matrix whose row k is one_hot(labels[k], tag_count)."""
+    """(L, C) matrix whose row k is the one-hot of labels[k] over `tag_count` tags."""
     arr = np.asarray(labels, dtype=np.intp)
     if arr.size and not (0 <= arr.min() and arr.max() < tag_count):
         raise ValueError(f"label out of range [0, {tag_count})")
@@ -68,7 +60,7 @@ def one_hot_rows(labels: Sequence[int], tag_count: int) -> np.ndarray:
 
 
 def pin_rows(rows: np.ndarray, positions: np.ndarray, labels) -> np.ndarray:
-    """Copy of flat (T, C) `rows` with row positions[k] set to one_hot(labels[k]).
+    """Copy of flat (T, C) `rows` with row positions[k] the one-hot of labels[k].
 
     The pinned rows are exact 0.0/1.0 vectors; every other row is copied
     bitwise.  This is the guidance correction of both `guide_correct` and
@@ -131,6 +123,25 @@ class PartiallyAnnotatedSentence:
         return len(self.sentence)
 
 
+_DERIVED: dict = {}  # (id(corpus), compute) -> value: hashing a Corpus walks every sentence
+
+
+def _per_corpus(compute):
+    """`compute(corpus)`, run once per Corpus object and kept while the object lives."""
+    def once(corpus: Corpus):
+        key = (id(corpus), compute)
+        if key not in _DERIVED:
+            _DERIVED[key] = compute(corpus)
+            weakref.finalize(corpus, _DERIVED.pop, key, None)
+        return _DERIVED[key]
+    return once
+
+
+_gold_keys = _per_corpus(lambda corpus: evaluation.gold_keys(corpus))  # the global, per call
+_blank = _per_corpus(lambda corpus: tuple(PartiallyAnnotatedSentence(
+    Sentence(s.tokens, (0,) * len(s)), EMPTY_ANNOTATIONS) for s in corpus.sentences))
+
+
 def mask_entities(corpus: Corpus, keep_fraction: float, seed: int,
                   ) -> tuple[list[PartiallyAnnotatedSentence], list[tuple[int, EntitySpan]]]:
     """Keep a uniform corpus-level sample of gold entities, mask the rest to O.
@@ -140,14 +151,19 @@ def mask_entities(corpus: Corpus, keep_fraction: float, seed: int,
     to sentence boundaries or category balance.  Returns the partial view and
     the kept (sentence index, span) list in corpus order.
     """
+    kept = _sample_kept(corpus, keep_fraction, seed)
+    return partial_from_kept(corpus, kept), kept
+
+
+def _sample_kept(corpus: Corpus, keep_fraction: float, seed: int) -> list[tuple[int, EntitySpan]]:
+    """The kept list of `mask_entities`, drawn without building the partial view."""
     if not 0.0 <= keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction {keep_fraction} outside [0, 1]")
-    flat = gold_spans(corpus)  # raises on unlabelled corpora
-    n_keep = round(keep_fraction * len(flat))
+    keys, offsets = _gold_keys(corpus)  # raises on unlabelled corpora
+    n_keep = round(keep_fraction * len(keys))
     rng = seeded_rng(seed, STREAM_MASK)
-    positions = rng.choice(len(flat), size=n_keep, replace=False) if flat else []
-    kept = [flat[p] for p in sorted(int(p) for p in positions)]
-    return partial_from_kept(corpus, kept), kept
+    positions = rng.choice(len(keys), size=n_keep, replace=False) if len(keys) else []
+    return evaluation._key_spans(keys[sorted(positions)], offsets, corpus.scheme)
 
 
 def partial_from_kept(corpus: Corpus, kept: Iterable[tuple[int, EntitySpan]],
@@ -158,18 +174,18 @@ def partial_from_kept(corpus: Corpus, kept: Iterable[tuple[int, EntitySpan]],
         if not 0 <= i < len(corpus):
             raise ValueError(f"sentence index {i} out of range")
         by_sentence.setdefault(i, []).append(span)
-    partial = []
-    for i, sent in enumerate(corpus.sentences):
-        spans = sorted(by_sentence.get(i, []))
+    partial = list(_blank(corpus))
+    for i in sorted(by_sentence):
+        spans, sent = sorted(by_sentence[i]), corpus.sentences[i]
         labels = tuple(encode_bio(spans, len(sent), corpus.scheme))
-        partial.append(PartiallyAnnotatedSentence(
-            Sentence(sent.tokens, labels), EntityAnnotationSet(tuple(spans))))
+        partial[i] = PartiallyAnnotatedSentence(
+            Sentence(sent.tokens, labels), EntityAnnotationSet(tuple(spans)))
     return partial
 
 
 def partial_from_labels(corpus: Corpus) -> list[PartiallyAnnotatedSentence]:
     """Treat every entity already tagged in `corpus` as a known annotation."""
-    return partial_from_kept(corpus, gold_spans(corpus))
+    return partial_from_kept(corpus, evaluation.gold_spans(corpus))
 
 
 def to_corpus(partial: Sequence[PartiallyAnnotatedSentence], scheme: LabelScheme,

@@ -11,11 +11,11 @@ import os
 import sys
 from dataclasses import replace
 
-from . import tagger
+from . import annotation, tagger
 from .annotation import mask_entities, partial_from_labels, to_corpus, write_kept_sidecar
 from .corpus import (ConfigError, ParseError, SynthConfig, generate_synthetic, read_conll,
                      serialize_conll)
-from .evaluation import evaluate_model, gold_spans
+from .evaluation import evaluate_model
 from .experiment import (ExperimentConfig, MethodSpec, run_experiment, train_spec,
                          verify_report)
 
@@ -56,7 +56,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
     _write_text(args.out, serialize_conll(masked))
     if args.kept_out:
         write_kept_sidecar(args.kept_out, kept)
-    print(f"kept {len(kept)} of {len(gold_spans(corpus))} entities "
+    print(f"kept {len(kept)} of {len(annotation._gold_keys(corpus)[0])} entities "
           f"(fraction {args.fraction!r}) -> {args.out}")
     return 0
 

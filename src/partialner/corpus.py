@@ -149,10 +149,10 @@ class Sentence:
         object.__setattr__(self, "tokens", tokens)
         if not tokens:
             raise ValueError("empty sentence")
-        if any(not t for t in tokens):
+        if not all(tokens):
             raise ValueError("empty token string")
         if self.labels is not None:
-            labels = tuple(int(l) for l in self.labels)
+            labels = tuple(map(int, self.labels))
             object.__setattr__(self, "labels", labels)
             if len(labels) != len(tokens):
                 raise ValueError(f"{len(labels)} labels for {len(tokens)} tokens")

@@ -8,7 +8,7 @@ breakdown; zero denominators score 0 rather than NaN.
 `evaluate_model` use the flat form: spans of sentence-concatenated tags as
 int64 keys (`bio_span_keys`, and `gold_keys` for a corpus's gold spans)
 scored by `key_scores`, which gives the same result bit for bit.  Masking
-reads a corpus's gold spans from the same keys (`gold_spans`).
+draws from the same keys and decodes only the spans it keeps (`_key_spans`).
 """
 from __future__ import annotations
 
@@ -121,14 +121,17 @@ def gold_keys(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gold_spans(corpus: Corpus) -> list[tuple[int, EntitySpan]]:
-    """The (sentence index, span) pairs of a fully labelled corpus's gold
-    spans, in corpus order, decoded from one `gold_keys` pass."""
-    keys, offsets = gold_keys(corpus)
-    span, cats = np.divmod(keys, len(corpus.scheme.categories))
+    """(sentence index, span) pairs of a fully labelled corpus's gold spans, in corpus order."""
+    return _key_spans(*gold_keys(corpus), corpus.scheme)
+
+
+def _key_spans(keys, offsets, scheme: LabelScheme) -> list[tuple[int, EntitySpan]]:
+    """The (sentence index, span) pair of each of a corpus's `gold_keys`, as Python ints."""
+    span, cats = np.divmod(keys, len(scheme.categories))
     starts, ends = np.divmod(span, int(offsets[-1]) + 1)
     sentences = np.searchsorted(offsets, starts, side="right") - 1
     base = offsets[sentences]
-    return [(i, EntitySpan(s, e, corpus.scheme.categories[c])) for i, s, e, c in zip(
+    return [(i, EntitySpan(s, e, scheme.categories[c])) for i, s, e, c in zip(
         sentences.tolist(), (starts - base).tolist(), (ends - base).tolist(), cats.tolist())]
 
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import bde, selftrain, tagger
 # partial_from_kept is unused here, but perfbench/probes.py wraps this binding
-from .annotation import (PartiallyAnnotatedSentence, mask_entities, partial_from_kept,
-                         read_kept_sidecar, write_kept_sidecar)
+from .annotation import (PartiallyAnnotatedSentence, _per_corpus, _sample_kept, mask_entities,
+                         partial_from_kept, read_kept_sidecar, write_kept_sidecar)
 from .corpus import (ConfigError, Corpus, SynthConfig, check_types, generate_synthetic,
                      read_conll, serialize_conll)
 from .evaluation import evaluate_model
@@ -35,6 +35,8 @@ DEFAULT_FRACTIONS = (0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 SUMMARY_NAME = "summary.md"
 RESULTS_NAME = "results.csv"
+# mask sidecars are named by this digest of the training corpus's CoNLL text
+_conll_digest = _per_corpus(lambda c: hashlib.sha256(serialize_conll(c).encode()).hexdigest()[:12])
 
 
 @dataclass(frozen=True)
@@ -162,8 +164,7 @@ def _synthetic_split(config: ExperimentConfig, i: int) -> Corpus:
 
 
 def _sidecar_name(train: Corpus, fraction: float, mask_seed: int) -> str:
-    corpus_hash = hashlib.sha256(serialize_conll(train).encode()).hexdigest()[:12]
-    return f"mask_{corpus_hash}_f{fraction!r}_s{mask_seed}.csv"
+    return f"mask_{_conll_digest(train)}_f{fraction!r}_s{mask_seed}.csv"
 
 
 def masked_partial(train: Corpus, fraction: float, mask_seed: int, cache_dir: str,
@@ -478,7 +479,7 @@ def verify_report(out_dir: str, tolerance: float = 1e-9) -> list[str]:
         # CoNLL files are all read: the label scheme is inferred from the three
         train = load_corpora(config)[0] if config.train_path else _synthetic_split(config, 0)
         drawn = {_sidecar_name(train, f, config.mask_seed):
-                 mask_entities(train, f, config.mask_seed)[1] for f in config.fractions}
+                 _sample_kept(train, f, config.mask_seed) for f in config.fractions}
     except Exception as exc:  # no config to redraw from: no sidecar can be checked
         return problems + [f"masks: cannot redraw: {type(exc).__name__}: {exc}"]
     mask_dir = os.path.join(out_dir, "masks")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from partialner.annotation import (EMPTY_ANNOTATIONS, EntityAnnotationSet,
                                    PartiallyAnnotatedSentence, guide_correct,
-                                   mask_entities, one_hot, one_hot_rows, partial_from_kept,
+                                   mask_entities, one_hot_rows, partial_from_kept,
                                    partial_from_labels, read_kept_sidecar,
                                    to_corpus, write_kept_sidecar)
 from partialner.corpus import (Corpus, EntitySpan, LabelScheme, Sentence,
@@ -14,17 +14,17 @@ from partialner.corpus import (Corpus, EntitySpan, LabelScheme, Sentence,
 
 
 def test_one_hot_basics():
-    v = one_hot(2, 5)
+    (v,) = one_hot_rows([2], 5)
     assert v.shape == (5,) and v[2] == 1.0 and v.sum() == 1.0
     with pytest.raises(ValueError):
-        one_hot(5, 5)
+        one_hot_rows([5], 5)
 
 
 def test_one_hot_rows_matches_scalar():
     rows = one_hot_rows([0, 3, 1], 4)
     assert rows.shape == (3, 4)
     for k, label in enumerate([0, 3, 1]):
-        assert np.array_equal(rows[k], one_hot(label, 4))
+        assert np.array_equal(rows[k], [1.0 if c == label else 0.0 for c in range(4)])
     with pytest.raises(ValueError):
         one_hot_rows([0, 4], 4)
 
