@@ -3,15 +3,19 @@
 
     python3 scripts/compare_runs.py RUN_A RUN_B
 
-Compares the names and bytes of every file under the two directories, and
-`results.csv` in every column but `wall_ms`: an `experiment` run directory
-or a `train` output directory.  Prints one line per difference and exits 0
-only when there is none, 1 otherwise.
+Compares the names and bytes of every file under the two directories,
+`results.csv` in every column but `wall_ms`, and an `.npz` file array by
+array (names, dtype, shape and bytes), naming each array that differs: an
+`experiment` run directory or a `train` output directory.  Prints one line
+per difference and exits 0 only when there is none, 1 otherwise.
 """
 import argparse
 import csv
 import os
 import sys
+import zipfile
+
+import numpy as np
 
 RESULTS = "results.csv"
 IGNORED_COLUMN = "wall_ms"
@@ -36,13 +40,37 @@ def _results_rows(path: str) -> list[list[str]] | None:
     return [[c for i, c in enumerate(row) if i != drop] for row in rows]
 
 
+def _npz_arrays(path: str) -> dict | bytes | None:
+    """name -> (dtype, shape, bytes) of every array in an .npz file, or the
+    file's bytes if numpy cannot read it as one."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            return {n: (z[n].dtype.str, z[n].shape, z[n].tobytes()) for n in z.files}
+    except FileNotFoundError:
+        return None
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile):  # not an .npz numpy reads
+        return _read_bytes(path)
+
+
+def _array_diff(a, b) -> str:
+    if a is None or b is None:
+        return f"only in {'B' if a is None else 'A'}"
+    for what, x, y in zip(("dtype", "shape"), a, b):
+        if x != y:
+            return f"{what} {x} in A, {y} in B"
+    return "contents differ"
+
+
 def _compare(a, b, name: str) -> list[str]:
     """Differences between two readings of one file; None is a missing file."""
     if a == b:
         return []
     if a is None or b is None:
         return [f"{name}: only in {'B' if a is None else 'A'}"]
-    if isinstance(a, bytes):
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [f"{name} array {k}: {_array_diff(a.get(k), b.get(k))}"
+                for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)]
+    if not isinstance(a, list) or not isinstance(b, list):
         return [f"{name}: contents differ"]
     if len(a) != len(b):
         return [f"{name}: {len(a)} rows in A, {len(b)} in B"]
@@ -60,7 +88,8 @@ def compare(run_a: str, run_b: str) -> list[str]:
     """Every difference between two run directories, one line each."""
     diffs = []
     for name in sorted(_files(run_a) | _files(run_b)):
-        read = _results_rows if name == RESULTS else _read_bytes
+        read = (_results_rows if name == RESULTS
+                else _npz_arrays if name.endswith(".npz") else _read_bytes)
         diffs += _compare(read(os.path.join(run_a, name)), read(os.path.join(run_b, name)), name)
     return diffs
 

@@ -6,7 +6,6 @@ Subcommands: synth, mask, train, eval, experiment, report.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -16,27 +15,14 @@ from .annotation import mask_entities, partial_from_labels, to_corpus, write_kep
 from .corpus import (ConfigError, ParseError, SynthConfig, generate_synthetic, read_conll,
                      serialize_conll)
 from .evaluation import evaluate_model
-from .experiment import (ExperimentConfig, MethodSpec, run_experiment, train_spec,
+from .experiment import (ExperimentConfig, MethodSpec, load_json, run_experiment, train_spec,
                          verify_report)
 
 USAGE_ERROR = 2
 
 
-def _load_json(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    return data
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = SynthConfig.from_dict(_load_json(args.config))
+    config = SynthConfig.from_dict(load_json(args.config))
     if args.n_sentences is not None:
         config = replace(config, n_sentences=args.n_sentences)
     if args.seed is not None:
@@ -64,7 +50,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     spec = MethodSpec.parse(args.method)
     train_c, dev_c = read_conll([args.train, args.dev])
-    exp = ExperimentConfig.from_dict(_load_json(args.config))
+    exp = ExperimentConfig.from_dict(load_json(args.config))
     seed = exp.tagger.seed if args.seed is None else args.seed
     os.makedirs(args.out, exist_ok=True)
     for name in ("checkpoint.npz", "soft.bin", "lineage.csv", "trace_ner_fit.csv",
@@ -98,7 +84,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    data = _load_json(args.config)
+    data = load_json(args.config)
     out_dir = args.out or data.get("out_dir") or "runs/experiment"
     config = ExperimentConfig.from_dict(data)
     if args.seed is not None:

@@ -116,7 +116,7 @@ class ExperimentConfig(selftrain.SelfTrainConfig):
 
     @staticmethod
     def from_dict(data: Mapping) -> "ExperimentConfig":
-        data = dict(data)
+        data = {**data}  # unlike dict(data), rejects a list of pairs
         data.pop("out_dir", None)  # consumed by the CLI, not part of the matrix
         unknown = set(data) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
@@ -135,8 +135,21 @@ class ExperimentConfig(selftrain.SelfTrainConfig):
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
+        return ExperimentConfig.from_dict(load_json(path))
+
+
+def load_json(path: str | None) -> dict:
+    """The JSON object in the config file `path`, or {} for no path."""
+    if path is None:
+        return {}
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return data
 
 
 def canonical_json(config: ExperimentConfig) -> str:

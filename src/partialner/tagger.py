@@ -26,7 +26,7 @@ from .corpus import Corpus, LabelScheme, Sentence, check_types
 from .rng import STREAM_INIT, STREAM_TRAIN, seeded_rng
 
 BOUNDARY_TOKEN = "__boundary__"  # reserved padding word, hashed like any other
-CHECKPOINT_MAGIC = "partialner.tagger.v1"
+CHECKPOINT_MAGIC = "partialner.tagger.v2"
 LOG_FLOOR = 1e-12  # clamp inside log; only active where a target is impossible anyway
 SCORE_ROWS = 1024  # rows per scoring block: a 1.4 MB feature block at the default sizes
 
@@ -194,13 +194,6 @@ class TaggerModel:
         """Live references to every parameter array; `embed` holds `rows` only."""
         return {"embed": self.embed, "w1": self.w1, "b1": self.b1,
                 "w2": self.w2, "b2": self.b2}
-
-    def full_embed(self) -> np.ndarray:
-        """A new (hash_buckets, embed_dim) table: the held rows, else the initial draw."""
-        embed = seeded_rng(self.config.seed, STREAM_INIT).uniform(
-            -1, 1, (self.config.hash_buckets, self.config.embed_dim))
-        embed[self.rows] = self.embed
-        return embed
 
     def flat_distributions(self, token_seqs: Sequence[Sequence[str]],
                            ) -> tuple[np.ndarray, np.ndarray]:
@@ -553,21 +546,28 @@ def train(model: TaggerModel, data, val: Corpus) -> tuple[TaggerModel, StageTrac
 
 
 def save_checkpoint(model: TaggerModel, path: str) -> None:
-    """Versioned npz checkpoint: magic, config echo, categories, full parameters."""
-    np.savez(path,
-             magic=np.array(CHECKPOINT_MAGIC),
+    """Versioned npz checkpoint: magic, config echo, categories, `rows` and the parameters."""
+    np.savez(path, magic=np.array(CHECKPOINT_MAGIC),
              config=np.array(json.dumps(dataclasses.asdict(model.config), sort_keys=True)),
-             categories=np.array(list(model.scheme.categories)),
-             embed=model.full_embed(), w1=model.w1, b1=model.b1, w2=model.w2, b2=model.b2)
+             categories=np.array(list(model.scheme.categories)), rows=model.rows, **model.params())
 
 
 def load_checkpoint(path: str) -> TaggerModel:
+    """A checkpoint's model, holding its `rows`; a v1 file holds every row."""
     with np.load(path, allow_pickle=False) as z:
-        if "magic" not in z.files or str(z["magic"]) != CHECKPOINT_MAGIC:
+        magic = str(z.get("magic"))
+        if magic not in (CHECKPOINT_MAGIC, "partialner.tagger.v1"):
             raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
         echo = json.loads(str(z["config"]))
         echo.pop("halve_on_plateau", None)  # retired training-only field
         config = TaggerConfig(**echo)
         scheme = LabelScheme(tuple(str(c) for c in z["categories"]))
-        return TaggerModel(config, scheme, np.arange(config.hash_buckets),
-                           *(z[name].copy() for name in ("embed", "w1", "b1", "w2", "b2")))
+        rows = z["rows"] if magic == CHECKPOINT_MAGIC else np.arange(config.hash_buckets)
+        params = [z[name] for name in ("embed", "w1", "b1", "w2", "b2")]
+    # `positions` bisects `rows`: rows out of order would gather wrong rows silently
+    if not (rows.dtype.kind == "i" and np.array_equal(rows, np.unique(rows))
+            and ((rows >= 0) & (rows < config.hash_buckets)).all()):
+        raise ValueError(f"{path}: rows are not increasing bucket ids in [0, hash_buckets)")
+    if params[0].shape != (rows.size, config.embed_dim):
+        raise ValueError(f"{path}: embed shape {params[0].shape} for {rows.size} rows")
+    return TaggerModel(config, scheme, rows, *params)

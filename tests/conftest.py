@@ -1,10 +1,36 @@
-"""Shared fixtures: label schemes, hand-built corpora, synthetic splits."""
+"""Shared fixtures: label schemes, hand-built corpora, synthetic splits;
+shared helpers: a model's full embedding table and the v1 checkpoint layout."""
+import dataclasses
+import json
+
+import numpy as np
 import pytest
 
 from partialner import bde, selftrain
 from partialner.corpus import (Corpus, EntitySpan, LabelScheme, Sentence,
                                SynthConfig, encode_bio, generate_synthetic)
 from partialner.experiment import ExperimentConfig, load_corpora
+from partialner.rng import STREAM_INIT, seeded_rng
+
+
+def full_params(model):
+    """Every parameter by name, with the embedding table in full: the reference
+    draw `uniform(-1, 1, (hash_buckets, embed_dim))` of the model's
+    `(seed, STREAM_INIT)` stream with the held rows written into it."""
+    cfg = model.config
+    embed = seeded_rng(cfg.seed, STREAM_INIT).uniform(-1, 1, (cfg.hash_buckets, cfg.embed_dim))
+    embed[model.rows] = model.embed
+    return {**model.params(), "embed": embed}
+
+
+def save_v1_checkpoint(model, path, **echo):
+    """Write `model` in the v1 checkpoint layout: magic v1, the config echo
+    (plus the fields `echo`), the categories and every parameter with the
+    embedding table in full; no `rows`."""
+    config = {**dataclasses.asdict(model.config), **echo}
+    np.savez(path, magic=np.array("partialner.tagger.v1"),
+             config=np.array(json.dumps(config, sort_keys=True)),
+             categories=np.array(list(model.scheme.categories)), **full_params(model))
 
 
 @pytest.fixture(scope="session")

@@ -16,62 +16,87 @@ from partialner.corpus import infer_scheme, parse_conll
 from partialner.experiment import RESULT_COLUMNS, parse_summary
 from partialner.tagger import load_checkpoint
 
+from conftest import full_params, save_v1_checkpoint
+
 FAST_TAGGER = {"embed_dim": 8, "window": 1, "hidden_dim": 12, "hash_buckets": 1024,
                "learning_rate": 0.3, "max_epochs": 4, "patience": 4}
 # SHA-256 of (dtype, shape) and the bytes of each checkpoint array that
 # `train --seed 0` writes on the `workdir` corpora, per method
 PINNED_CHECKPOINTS = {
     "supervised": {
-        "magic": "0bde8dc54a2b8e6e8a76300a00d97569d2d03564b92e54ee6a103567964850ec",
+        "magic": "b2c3a9ca6975fa5a550547d98613b301e0d6a293b83fef14f13b64845a599b2b",
         "config": "a401b4daf77003ac432ad8683a7e0c09edcdca047f1a6f3d6dd91487c4f48bdc",
         "categories": "1f2a8669ea101fb40392b5ed2791aec6087eda4febe8525e4943f96c69efe89d",
-        "embed": "f5ec691ccb6287560d6ed13d05e48d73ad8d450e69428e21c2d4176252ef7511",
+        "rows": "a7e9b9df617b6628e294552976e27528246d394319dae91437675fc71a47f126",
+        "embed": "1f461ccb7c7bcfee5f1d7b0949f69d9350e000b1c3bc1529194b03ab01e96315",
         "w1": "2458cf7cd86184cedd6fef9c5e5a616862668dcf667223689f21d473e73383f2",
         "b1": "96e171a2720623c96ff79723292e1dafc52d40729c196142b4d25648a00d2e8c",
         "w2": "6ece88fa41b900e28b4d582ca843f6b3cd5f44d35efaae75c405788bd210f512",
         "b2": "6a8d090781b09fbc8fe9426ae3646aaa1cac46270cc57c8838a2cdf402ecd146",
     },
     "bond": {
-        "magic": "0bde8dc54a2b8e6e8a76300a00d97569d2d03564b92e54ee6a103567964850ec",
+        "magic": "b2c3a9ca6975fa5a550547d98613b301e0d6a293b83fef14f13b64845a599b2b",
         "config": "a401b4daf77003ac432ad8683a7e0c09edcdca047f1a6f3d6dd91487c4f48bdc",
         "categories": "1f2a8669ea101fb40392b5ed2791aec6087eda4febe8525e4943f96c69efe89d",
-        "embed": "f5ec691ccb6287560d6ed13d05e48d73ad8d450e69428e21c2d4176252ef7511",
+        "rows": "a7e9b9df617b6628e294552976e27528246d394319dae91437675fc71a47f126",
+        "embed": "1f461ccb7c7bcfee5f1d7b0949f69d9350e000b1c3bc1529194b03ab01e96315",
         "w1": "2458cf7cd86184cedd6fef9c5e5a616862668dcf667223689f21d473e73383f2",
         "b1": "96e171a2720623c96ff79723292e1dafc52d40729c196142b4d25648a00d2e8c",
         "w2": "6ece88fa41b900e28b4d582ca843f6b3cd5f44d35efaae75c405788bd210f512",
         "b2": "6a8d090781b09fbc8fe9426ae3646aaa1cac46270cc57c8838a2cdf402ecd146",
     },
     "guided_bond": {
-        "magic": "0bde8dc54a2b8e6e8a76300a00d97569d2d03564b92e54ee6a103567964850ec",
+        "magic": "b2c3a9ca6975fa5a550547d98613b301e0d6a293b83fef14f13b64845a599b2b",
         "config": "a401b4daf77003ac432ad8683a7e0c09edcdca047f1a6f3d6dd91487c4f48bdc",
         "categories": "1f2a8669ea101fb40392b5ed2791aec6087eda4febe8525e4943f96c69efe89d",
-        "embed": "f5ec691ccb6287560d6ed13d05e48d73ad8d450e69428e21c2d4176252ef7511",
+        "rows": "a7e9b9df617b6628e294552976e27528246d394319dae91437675fc71a47f126",
+        "embed": "1f461ccb7c7bcfee5f1d7b0949f69d9350e000b1c3bc1529194b03ab01e96315",
         "w1": "2458cf7cd86184cedd6fef9c5e5a616862668dcf667223689f21d473e73383f2",
         "b1": "96e171a2720623c96ff79723292e1dafc52d40729c196142b4d25648a00d2e8c",
         "w2": "6ece88fa41b900e28b4d582ca843f6b3cd5f44d35efaae75c405788bd210f512",
         "b2": "6a8d090781b09fbc8fe9426ae3646aaa1cac46270cc57c8838a2cdf402ecd146",
     },
     "bde:guided_bond+supervised": {
-        "magic": "0bde8dc54a2b8e6e8a76300a00d97569d2d03564b92e54ee6a103567964850ec",
+        "magic": "b2c3a9ca6975fa5a550547d98613b301e0d6a293b83fef14f13b64845a599b2b",
         "config": "298afaa238a5e2fb6af94f3fecb17ab62d75675b71ecffd0ca33face5bbfa31f",
         "categories": "1f2a8669ea101fb40392b5ed2791aec6087eda4febe8525e4943f96c69efe89d",
-        "embed": "85fdff5cf477f6030bd2936397c7304f9d365fb95eb9b72022baf351661d529e",
+        "rows": "a7e9b9df617b6628e294552976e27528246d394319dae91437675fc71a47f126",
+        "embed": "e6cf938170110362c490aaced8cb92d76fc08649a1f9ec3b16c4dab62e5de4a3",
         "w1": "a38d7e59286f2cc839974474eb7394799a34bb94c20f3fe4d2190240ccd743c3",
         "b1": "96e171a2720623c96ff79723292e1dafc52d40729c196142b4d25648a00d2e8c",
         "w2": "3fd9fb98281ccaabe0e116fc9c8870c2c8ef36f7ee56b8f5d5221e57a2bb8625",
         "b2": "6a8d090781b09fbc8fe9426ae3646aaa1cac46270cc57c8838a2cdf402ecd146",
     },
     "bde:guided_bond+guided_bond": {
-        "magic": "0bde8dc54a2b8e6e8a76300a00d97569d2d03564b92e54ee6a103567964850ec",
+        "magic": "b2c3a9ca6975fa5a550547d98613b301e0d6a293b83fef14f13b64845a599b2b",
         "config": "298afaa238a5e2fb6af94f3fecb17ab62d75675b71ecffd0ca33face5bbfa31f",
         "categories": "1f2a8669ea101fb40392b5ed2791aec6087eda4febe8525e4943f96c69efe89d",
-        "embed": "85fdff5cf477f6030bd2936397c7304f9d365fb95eb9b72022baf351661d529e",
+        "rows": "a7e9b9df617b6628e294552976e27528246d394319dae91437675fc71a47f126",
+        "embed": "e6cf938170110362c490aaced8cb92d76fc08649a1f9ec3b16c4dab62e5de4a3",
         "w1": "a38d7e59286f2cc839974474eb7394799a34bb94c20f3fe4d2190240ccd743c3",
         "b1": "96e171a2720623c96ff79723292e1dafc52d40729c196142b4d25648a00d2e8c",
         "w2": "3fd9fb98281ccaabe0e116fc9c8870c2c8ef36f7ee56b8f5d5221e57a2bb8625",
         "b2": "6a8d090781b09fbc8fe9426ae3646aaa1cac46270cc57c8838a2cdf402ecd146",
     },
 }
+# the same digest of the full (hash_buckets, embed_dim) table, the `embed` of
+# the v1 checkpoints that `train` wrote before checkpoints held `rows`
+PINNED_V1_TABLES = {
+    "supervised":
+        "f5ec691ccb6287560d6ed13d05e48d73ad8d450e69428e21c2d4176252ef7511",
+    "bond":
+        "f5ec691ccb6287560d6ed13d05e48d73ad8d450e69428e21c2d4176252ef7511",
+    "guided_bond":
+        "f5ec691ccb6287560d6ed13d05e48d73ad8d450e69428e21c2d4176252ef7511",
+    "bde:guided_bond+supervised":
+        "85fdff5cf477f6030bd2936397c7304f9d365fb95eb9b72022baf351661d529e",
+    "bde:guided_bond+guided_bond":
+        "85fdff5cf477f6030bd2936397c7304f9d365fb95eb9b72022baf351661d529e",
+}
+
+
+def array_digest(arr):
+    return hashlib.sha256(repr((arr.dtype.str, arr.shape)).encode() + arr.tobytes()).hexdigest()
 
 
 def read_corpus(path):
@@ -341,10 +366,24 @@ class TestTrainAndEval:
         assert rc == 0
         capsys.readouterr()
         with np.load(tmp_path / "checkpoint.npz", allow_pickle=False) as z:
-            got = {name: hashlib.sha256(repr((z[name].dtype.str, z[name].shape)).encode()
-                                        + z[name].tobytes()).hexdigest()
-                   for name in z.files}
+            got = {name: array_digest(z[name]) for name in z.files}
         assert got == PINNED_CHECKPOINTS[method]
+        # the held rows are those of the table that v1 checkpoints held
+        table = full_params(load_checkpoint(str(tmp_path / "checkpoint.npz")))["embed"]
+        assert array_digest(table) == PINNED_V1_TABLES[method]
+
+    def test_eval_prints_the_same_bytes_from_a_v1_checkpoint(self, workdir, trained,
+                                                               tmp_path, capsys):
+        v2 = str(trained / "checkpoint.npz")
+        v1 = str(tmp_path / "v1.npz")
+        save_v1_checkpoint(load_checkpoint(v2), v1)
+        printed = []
+        for path in (v2, v1):
+            assert cli.main(["eval", path, str(workdir / "test.conll"), "--per-category"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert len(printed[0].splitlines()) == 5  # micro and three categories
+        assert os.path.getsize(v2) < os.path.getsize(v1) / 2
 
     def test_eval_stdout(self, workdir, trained, capsys):
         rc = cli.main(["eval", str(trained / "checkpoint.npz"),

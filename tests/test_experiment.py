@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from partialner import cli, experiment, selftrain, tagger
@@ -143,6 +144,20 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_json(str(path))
         assert cfg.fractions == (0.25,)
         assert cfg.seeds == (1, 2)
+
+    def test_from_dict_rejects_a_list_of_pairs(self):
+        with pytest.raises(TypeError, match="not a mapping"):
+            ExperimentConfig.from_dict([["seeds", [3]]])
+
+    @pytest.mark.parametrize("text,message", [
+        ('[["seeds", [3]]]', "expected a JSON object"),
+        ('{"seeds": [3]', "not valid JSON"),
+    ], ids=["array", "malformed"])
+    def test_from_json_reads_one_json_object(self, tmp_path, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"{path}: {message}"):
+            ExperimentConfig.from_json(str(path))
 
     def test_with_seed_replaces_seed(self):
         cfg = smoke_config(self_train_epochs=7, teacher_refresh_period=3, hard_targets=True)
@@ -587,7 +602,7 @@ class TestReportMismatches:
     @pytest.mark.parametrize("fault,problem", [
         ("results_row", "('supervised', 0.2): in summary.md but not recomputable"),
         ("summary_row", "('supervised', 0.5): in results.csv but missing from summary.md"),
-        ("config_echo", "masks: cannot redraw: JSONDecodeError"),
+        ("config_echo", "masks: cannot redraw: ConfigError"),
     ])
     def test_a_tampered_copy_is_named(self, failing_run, tmp_path, capsys, fault, problem):
         run = tmp_path / "run"
@@ -648,11 +663,28 @@ class TestCompareRuns:
             "trace_self_train.csv"]
         same = self.compare(tmp_path / "a", tmp_path / "b")
         assert (same.returncode, same.stdout) == (0, "no difference\n")
+        checkpoint = tmp_path / "b" / "checkpoint.npz"
+        with np.load(checkpoint) as z:
+            arrays = {k: z[k] for k in z.files}
+        np.savez(checkpoint, **dict(reversed(arrays.items())))  # other bytes, same arrays
+        assert checkpoint.read_bytes() != (tmp_path / "a" / "checkpoint.npz").read_bytes()
+        same = self.compare(tmp_path / "a", tmp_path / "b")
+        assert (same.returncode, same.stdout) == (0, "no difference\n")
+        arrays["w1"] = arrays["w1"] + 1.0
+        arrays["b1"] = arrays["b1"].astype(np.float32)
+        arrays["b2"] = arrays["b2"][:-1]
+        arrays["extra"] = arrays.pop("rows")
+        np.savez(checkpoint, **arrays)
         with open(tmp_path / "b" / "trace_self_train.csv", "a") as fh:
             fh.write("self_train,3,0.5,0\n")
         os.remove(tmp_path / "b" / "soft.bin")
         changed = self.compare(tmp_path / "a", tmp_path / "b")
         assert changed.returncode == 1
+        n_tags = arrays["b2"].size + 1
         assert changed.stdout.splitlines() == [
+            "checkpoint.npz array b1: dtype <f8 in A, <f4 in B",
+            f"checkpoint.npz array b2: shape ({n_tags},) in A, ({n_tags - 1},) in B",
+            "checkpoint.npz array extra: only in B", "checkpoint.npz array rows: only in A",
+            "checkpoint.npz array w1: contents differ",
             "soft.bin: only in A", "trace_self_train.csv: contents differ",
-            "2 difference(s)"]
+            "7 difference(s)"]

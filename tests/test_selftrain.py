@@ -21,16 +21,13 @@ from partialner.selftrain import (
 )
 from partialner.tagger import SoftDataset, TaggerConfig, TaggerModel
 
+from conftest import full_params
+
 
 def bits(arr):
     """Raw 64-bit patterns, so -0.0 and 0.0 differ."""
     arr = np.ascontiguousarray(arr)
     return arr.view(np.int64) if arr.dtype == np.float64 else arr
-
-
-def full_params(model):
-    """Every parameter by name, with the embedding table in full."""
-    return {**model.params(), "embed": model.full_embed()}
 
 
 def fast_config(**overrides) -> SelfTrainConfig:
@@ -343,9 +340,9 @@ class TestStageTable:
         assert outside.size
         assert model is init_model  # trained in place; `start` is its snapshot
         np.testing.assert_array_equal(model.rows, inside)  # the rows the stage read
-        np.testing.assert_array_equal(bits(model.full_embed()[outside]),
-                                      bits(start.full_embed()[outside]))
-        assert not np.array_equal(model.full_embed()[inside], start.full_embed()[inside])
+        got, was = full_params(model)["embed"], full_params(start)["embed"]
+        np.testing.assert_array_equal(bits(got[outside]), bits(was[outside]))
+        assert not np.array_equal(got[inside], was[inside])
 
 
 class TestRunMethod:

@@ -43,10 +43,7 @@ from partialner.tagger import (
     validation_f1,
 )
 
-
-def full_params(model):
-    """Every parameter by name, with the embedding table in full."""
-    return {**model.params(), "embed": model.full_embed()}
+from conftest import full_params, save_v1_checkpoint
 
 
 def soft_cross_entropy(predicted: np.ndarray, target: np.ndarray) -> float:
@@ -234,7 +231,7 @@ class TestInitialRows:
             np.testing.assert_array_equal(model.rows[enc.ids[:, 0]], ids)
         np.testing.assert_array_equal(model.rows, rows)
         assert_same_bits(model.embed, full[rows], "embed")
-        assert_same_bits(model.full_embed(), full, "table")
+        assert_same_bits(full_params(model)["embed"], full, "table")
 
 
 class TestModel:
@@ -242,7 +239,7 @@ class TestModel:
         cfg = small_config()
         model = TaggerModel.init(cfg, scheme)
         assert model.rows.size == 0  # rows are drawn when a token first needs them
-        assert model.full_embed().shape == (cfg.hash_buckets, cfg.embed_dim)
+        assert model.embed.shape == (0, cfg.embed_dim)
         assert model.w1.shape == (cfg.input_dim, cfg.hidden_dim)
         assert model.w2.shape == (cfg.hidden_dim, scheme.tag_count)
         assert not model.b1.any()
@@ -258,9 +255,10 @@ class TestModel:
     def test_init_scales(self, scheme):
         cfg = small_config()
         model = TaggerModel.init(cfg, scheme)
+        table = initial_rows(cfg, np.arange(cfg.hash_buckets))
         # embedding rows start at unit scale, hidden weights at 1/sqrt(fan_in)
-        assert np.abs(model.full_embed()).max() <= 1.0
-        assert np.abs(model.full_embed()).max() > 1.0 / np.sqrt(cfg.input_dim)
+        assert np.abs(table).max() <= 1.0
+        assert np.abs(table).max() > 1.0 / np.sqrt(cfg.input_dim)
         assert np.abs(model.w1).max() <= 1.0 / np.sqrt(cfg.input_dim)
 
     def test_copy_is_deep(self, scheme):
@@ -354,7 +352,7 @@ class TestGradients:
         np.testing.assert_array_equal(model.b2, before["b2"] - 0.1 * g.b2)
         dense = np.zeros_like(before["embed"])
         dense[model.rows[g.embed_ids]] = g.embed_rows
-        np.testing.assert_array_equal(model.full_embed(), before["embed"] - 0.1 * dense)
+        np.testing.assert_array_equal(full_params(model)["embed"], before["embed"] - 0.1 * dense)
 
     def test_sgd_step_touches_only_seen_buckets(self, scheme, make_sentence):
         model = TaggerModel.init(small_config(), scheme)
@@ -487,7 +485,7 @@ def holding_every_row(model):
     """The same model holding its full embedding table, as a loaded
     checkpoint does: there a position is a bucket id."""
     return TaggerModel(model.config, model.scheme, np.arange(model.config.hash_buckets),
-                       model.full_embed(), model.w1.copy(), model.b1.copy(),
+                       full_params(model)["embed"], model.w1.copy(), model.b1.copy(),
                        model.w2.copy(), model.b2.copy())
 
 
@@ -777,7 +775,7 @@ class TestStageTable:
         trn, val = learnable
         cfg = small_config(hash_buckets=4096)
         model = TaggerModel.init(cfg, scheme)
-        full = model.full_embed()
+        full = full_params(model)["embed"]
         enc = encode_tokens([s.tokens for s in trn.sentences], cfg)
         table = StageTable(model, [s.tokens for s in trn.sentences], val)
         assert table.model is model
@@ -788,7 +786,7 @@ class TestStageTable:
         val_enc = encode_tokens([s.tokens for s in val.sentences], cfg)
         np.testing.assert_array_equal(model.rows[table.val_enc.ids], val_enc.ids)
         np.testing.assert_array_equal(model.embed, full[model.rows])
-        np.testing.assert_array_equal(model.full_embed(), full)
+        np.testing.assert_array_equal(full_params(model)["embed"], full)
 
     def test_an_epoch_hook_that_adds_rows_stops_the_stage(self, scheme, learnable):
         # new rows re-sort `model.rows`, so the stage's positions would
@@ -817,9 +815,9 @@ class TestStageTable:
         inside = stage_buckets([s.tokens for s in trn.sentences], val, cfg)
         outside = np.setdiff1d(np.arange(cfg.hash_buckets), inside)
         assert outside.size
-        np.testing.assert_array_equal(model.full_embed()[outside].view(np.int64),
-                                      start.full_embed()[outside].view(np.int64))
-        assert not np.array_equal(model.full_embed()[inside], start.full_embed()[inside])
+        got, was = full_params(model)["embed"], full_params(start)["embed"]
+        np.testing.assert_array_equal(got[outside].view(np.int64), was[outside].view(np.int64))
+        assert not np.array_equal(got[inside], was[inside])
 
 
 class TestSoftDataset:
@@ -874,38 +872,78 @@ class TestReportCsv:
         assert trace.best_epoch == 1
 
 
+def model_holding_rows(scheme, make_sentence, seed=9):
+    """An initial model holding the rows of one sentence, and that sentence."""
+    model = TaggerModel.init(small_config(seed=seed), scheme)
+    sent = make_sentence("Anna met Bob in Paris")
+    distributions(model, sent)
+    assert model.rows.size
+    return model, sent
+
+
 class TestCheckpoint:
     def test_roundtrip(self, scheme, make_sentence, tmp_path):
-        model = TaggerModel.init(small_config(seed=9), scheme)
+        model, sent = model_holding_rows(scheme, make_sentence)
         path = str(tmp_path / "model.npz")
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.config == model.config
         assert loaded.scheme.categories == model.scheme.categories
-        for name, arr in full_params(model).items():
-            np.testing.assert_array_equal(arr, full_params(loaded)[name])
-        sent = make_sentence("Anna met Bob in Paris")
-        np.testing.assert_array_equal(distributions(model, sent), distributions(loaded, sent))
+        assert loaded.rows.dtype == model.rows.dtype
+        np.testing.assert_array_equal(loaded.rows, model.rows)  # the held rows only
+        for name, arr in model.params().items():
+            np.testing.assert_array_equal(arr.view(np.int64), loaded.params()[name].view(np.int64))
+        unseen = make_sentence("Omar flew to Lima")  # rows drawn on demand after loading
+        for s in (sent, unseen):
+            np.testing.assert_array_equal(distributions(model, s), distributions(loaded, s))
 
-    def test_loads_a_config_echo_with_the_retired_plateau_field(self, scheme, tmp_path):
-        # checkpoints written before the field was removed still carry it
-        model = TaggerModel.init(small_config(seed=9), scheme)
-        path = str(tmp_path / "model.npz")
-        save_checkpoint(model, path)
-        with np.load(path) as z:
-            arrays = {k: z[k] for k in z.files}
-        echo = json.loads(str(arrays["config"]))
-        echo["halve_on_plateau"] = False
-        arrays["config"] = np.array(json.dumps(echo, sort_keys=True))
+    def test_loads_a_config_echo_with_the_retired_plateau_field(self, scheme, make_sentence,
+                                                                tmp_path):
+        # v1 checkpoints written before the field was removed still carry it
+        model, _ = model_holding_rows(scheme, make_sentence)
         old = str(tmp_path / "old.npz")
-        np.savez(old, **arrays)
+        save_v1_checkpoint(model, old, halve_on_plateau=False)
+        with np.load(old) as z:
+            assert str(z["magic"]) == "partialner.tagger.v1" and "rows" not in z.files
+            assert json.loads(str(z["config"]))["halve_on_plateau"] is False
         loaded = load_checkpoint(old)
         assert loaded.config == model.config
+        np.testing.assert_array_equal(loaded.rows, np.arange(model.config.hash_buckets))
         for name, arr in full_params(model).items():
-            np.testing.assert_array_equal(arr, full_params(loaded)[name])
+            np.testing.assert_array_equal(arr, loaded.params()[name])
 
     def test_rejects_foreign_npz(self, tmp_path):
         path = str(tmp_path / "junk.npz")
         np.savez(path, stuff=np.arange(3))
         with pytest.raises(ValueError, match="checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("fault,message", [
+        ("unsorted", "rows are not increasing"),
+        ("duplicate", "rows are not increasing"),
+        ("negative", "rows are not increasing"),
+        ("out_of_range", "rows are not increasing"),
+        ("float_rows", "rows are not increasing"),
+        ("embed_shape", "embed shape"),
+    ])
+    def test_rejects_rows_that_positions_cannot_bisect(self, scheme, make_sentence, tmp_path,
+                                                       fault, message):
+        """Each fault keeps `rows` and `embed` paired up, so only its own check sees it."""
+        model, _ = model_holding_rows(scheme, make_sentence)
+        path = str(tmp_path / "model.npz")
+        save_checkpoint(model, path)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        rows, embed = arrays["rows"], arrays["embed"]
+        assert rows[0] > 0 and rows[-1] < model.config.hash_buckets - 1
+        arrays["rows"], arrays["embed"] = {
+            "unsorted": (rows[::-1], embed[::-1]),
+            "duplicate": (rows[[0, *range(rows.size)]], embed[[0, *range(rows.size)]]),
+            "negative": (rows - rows[0] - 1, embed),
+            "out_of_range": (rows - rows[-1] + model.config.hash_buckets, embed),
+            "float_rows": (rows.astype(np.float64), embed),
+            "embed_shape": (rows, embed[:-1]),
+        }[fault]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
