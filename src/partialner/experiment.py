@@ -283,19 +283,12 @@ def _worker_cell(st: dict, args: tuple[str, float, int]) -> RunRecord:
 
 
 def _pool_init(config: ExperimentConfig, cache_dir: str, lineage_dir: str) -> None:
+    selftrain._pool_worker = True  # its siblings use the other cores: no teacher helper
     _POOL_STATE.update(_worker_state(config, cache_dir, lineage_dir))
 
 
 def _pool_cell(args: tuple[str, float, int]) -> RunRecord:
     return _worker_cell(_POOL_STATE, args)
-
-
-def _usable_cores() -> int:
-    """The CPUs this process may run on (its affinity mask where the platform
-    has one, so a cpuset-limited container counts its own), at least 1."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) or 1
-    return os.cpu_count() or 1
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> str:
@@ -321,7 +314,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> str:
     # the stage memo (selftrain.memo).
     groups = [(f, s) for f in config.fractions for s in config.seeds]
     cells = [(m, f, s) for f, s in groups for m in config.methods]
-    workers = config.workers if config.workers is not None else _usable_cores()
+    workers = config.workers if config.workers is not None else selftrain._usable_cores()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(config, cache_dir, lineage_dir)) as pool:

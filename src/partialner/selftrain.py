@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
@@ -24,6 +26,16 @@ from .rng import STREAM_SELFTRAIN
 from .tagger import StageTrace
 
 METHODS = ("supervised", "bond", "guided_bond")
+
+_pool_worker = False  # set by experiment._pool_init: the pool's workers take every core
+
+
+def _usable_cores() -> int:
+    """The CPUs this process may run on (its affinity mask where the platform
+    has one, so a cpuset-limited container counts its own), at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -89,15 +101,20 @@ def _distill(init_model: tagger.TaggerModel,
              config: SelfTrainConfig, guided: bool) -> tuple[tagger.TaggerModel, StageTrace]:
     """`self_train` through `tagger.fit`, with a frozen teacher's rows as
     targets: a copy of the student holding the stage's rows, scored per batch
-    (identical to scoring once per refresh window, as it is frozen between)."""
+    (identical to scoring once per refresh window, as it is frozen between).
+    With a core to spare, a helper thread scores an epoch's batches ahead of
+    the student, bit for bit as inline: only it reads the teacher during an
+    epoch, `refresh` writes it after the epoch's last batch, and it calls
+    nothing a tracer wraps (a tracer keeps one span stack per process)."""
     table = tagger.StageTable(init_model, [p.tokens for p in partial], val)
     teacher = init_model.copy()
     labels = np.asarray([l for p in partial for l in p.labels], dtype=np.intp)
     # a partial sentence's labels are non-O exactly on its known spans
     known = labels != 0
 
-    def targets(tok: np.ndarray, ids: np.ndarray, flags: np.ndarray) -> np.ndarray:
-        rows = tagger.forward_flat(teacher, ids, flags)[2]
+    def score(tok: np.ndarray, ids: np.ndarray, flags: np.ndarray) -> np.ndarray:
+        # tagger.forward_flat, unwrapped
+        rows = tagger._forward(teacher, tagger._features(teacher, ids, flags))[2]
         if config.hard_targets:
             rows = one_hot_rows(np.argmax(rows, axis=1), rows.shape[1])
         if guided:
@@ -105,14 +122,26 @@ def _distill(init_model: tagger.TaggerModel,
             rows = pin_rows(rows, pinned, labels[tok[pinned]])
         return rows
 
+    helper = ThreadPoolExecutor(1) if not _pool_worker and _usable_cores() > 1 else None
+
+    def targets(tok: np.ndarray, ids: np.ndarray, flags: np.ndarray, batches: list):
+        if helper is None:
+            return (score(tok[b], ids[b], flags[b]) for b in batches)
+        futures = [helper.submit(score, tok[b], ids[b], flags[b]) for b in batches]
+        return (future.result() for future in futures)
+
     def refresh(epoch: int, student: tagger.TaggerModel) -> bool:
         if epoch % config.teacher_refresh_period:
             return False
         teacher.load_from(student)
         return True
 
-    return tagger.fit(table, targets, "self_train", STREAM_SELFTRAIN,
-                      config.self_train_epochs, None, refresh)
+    try:
+        return tagger.fit(table, targets, "self_train", STREAM_SELFTRAIN,
+                          config.self_train_epochs, None, refresh)
+    finally:
+        if helper is not None:  # no thread outlives the stage, whatever ended it
+            helper.shutdown(cancel_futures=True)
 
 
 class StageMemo:

@@ -16,7 +16,7 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -426,7 +426,7 @@ class StageTrace:
 
 
 def _fixed_targets(data, scheme: LabelScheme,
-                   ) -> tuple[list[tuple[str, ...]], Callable[..., np.ndarray]]:
+                   ) -> tuple[list[tuple[str, ...]], Callable[..., Iterable[np.ndarray]]]:
     """Training token sequences and a lookup into their fixed target rows."""
     if isinstance(data, SoftDataset):
         if data.scheme.categories != scheme.categories:
@@ -439,7 +439,8 @@ def _fixed_targets(data, scheme: LabelScheme,
     else:
         raise TypeError(f"cannot train on {type(data).__name__}; "
                         "expected Corpus or SoftDataset")
-    return [s.tokens for s in data.sentences], lambda tok, ids, flags: rows[tok]
+    return [s.tokens for s in data.sentences], \
+        lambda tok, ids, flags, batches: (rows[tok[b]] for b in batches)
 
 
 def validation_f1(model: TaggerModel, val_enc: EncodedTokens, val_gold: np.ndarray,
@@ -469,7 +470,7 @@ class StageTable:
         self.val_work = score_workspace(config)
 
 
-def fit(table: StageTable, targets: Callable[..., np.ndarray],
+def fit(table: StageTable, targets: Callable[..., Iterable[np.ndarray]],
         stage: str, stream: int, epochs: int, patience: int | None = None,
         after_epoch: Callable[[int, TaggerModel], bool] | None = None,
         ) -> tuple[TaggerModel, StageTrace]:
@@ -479,9 +480,12 @@ def fit(table: StageTable, targets: Callable[..., np.ndarray],
     config and returns it.  Each epoch shuffles the sentences of `table.enc`
     with the `stream` RNG of the config's seed and gathers their ids and flags
     in that order once; each batch is then a contiguous slice of them.  One SGD
-    step per batch goes towards `targets(tok, ids, flags)`, the (len(tok), C)
-    target rows of the batch's flat token indices `tok`, whose embedding
-    positions and flags are `ids` and `flags`.  Validation span micro-F1 follows.
+    step per batch goes towards that batch's rows from `targets(tok, ids,
+    flags, batches)`, called once per epoch with the epoch's flat token
+    indices `tok`, their embedding positions `ids` and flags `flags`, and the
+    slices `batches` of them: it yields each batch's (tokens, C) target rows in
+    batch order, and the epoch has drawn them all before `after_epoch` runs.
+    Validation span micro-F1 follows.
     After each epoch, in this order: the best iteration so far is selected (the
     starting model is iteration 0 and a tie keeps the earlier one),
     `after_epoch(epoch, model)` runs (adding no rows) and its truthy return is
@@ -497,6 +501,8 @@ def fit(table: StageTable, targets: Callable[..., np.ndarray],
     trace = StageTrace(stage, [validation_f1(model, *val)])
     best, since_best = model.copy(), 0
     bounds = np.zeros(n + 1, dtype=np.intp)
+    edges = [*range(0, n, config.batch_size), n]
+    ranges = list(zip(edges, edges[1:]))  # each batch's first and end sentence
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         sizes = enc.lengths[order]
@@ -504,14 +510,12 @@ def fit(table: StageTable, targets: Callable[..., np.ndarray],
         # flat token indices of the sentences in `order`, sentence by sentence
         tok = np.arange(bounds[-1]) + np.repeat(enc.offsets[order] - bounds[:-1], sizes)
         ids, flags = enc.ids[tok], enc.flags[tok]
+        batches = [slice(bounds[a], bounds[b]) for a, b in ranges]
         total = 0.0
-        for start in range(0, n, config.batch_size):
-            stop = min(start + config.batch_size, n)
-            batch = slice(bounds[start], bounds[stop])
-            loss, grads = flat_loss_and_grads(
-                model, ids[batch], flags[batch],
-                targets(tok[batch], ids[batch], flags[batch]),
-                sentence_weights(sizes[start:stop]))
+        for (start, stop), batch, rows in zip(ranges, batches,
+                                              targets(tok, ids, flags, batches), strict=True):
+            loss, grads = flat_loss_and_grads(model, ids[batch], flags[batch], rows,
+                                              sentence_weights(sizes[start:stop]))
             sgd_step(model, grads, config.learning_rate)
             total += loss * (stop - start)
         trace.losses.append(total / n)
@@ -568,6 +572,12 @@ def load_checkpoint(path: str) -> TaggerModel:
     if not (rows.dtype.kind == "i" and np.array_equal(rows, np.unique(rows))
             and ((rows >= 0) & (rows < config.hash_buckets)).all()):
         raise ValueError(f"{path}: rows are not increasing bucket ids in [0, hash_buckets)")
-    if params[0].shape != (rows.size, config.embed_dim):
-        raise ValueError(f"{path}: embed shape {params[0].shape} for {rows.size} rows")
+    c = scheme.tag_count
+    shapes = {"embed": (rows.size, config.embed_dim), "w1": (config.input_dim, config.hidden_dim),
+              "b1": (config.hidden_dim,), "w2": (config.hidden_dim, c), "b2": (c,)}
+    for (name, shape), arr in zip(shapes.items(), params):
+        if arr.dtype != np.float64:  # the training arithmetic is float64 throughout
+            raise ValueError(f"{path}: {name} dtype {arr.dtype}, want float64")
+        if arr.shape != shape:
+            raise ValueError(f"{path}: {name} shape {arr.shape}, want {shape}")
     return TaggerModel(config, scheme, rows, *params)

@@ -1,14 +1,16 @@
 """Tests for the two-stage self-training loop and its guided variant."""
 
 import hashlib
+import os
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from partialner import selftrain, tagger
+from partialner import experiment, selftrain, tagger
 from partialner.annotation import mask_entities, one_hot_rows, partial_from_labels
-from partialner.corpus import ConfigError, Corpus, SynthConfig, generate_synthetic
+from partialner.corpus import ConfigError, Corpus, Sentence, SynthConfig, generate_synthetic
 from partialner.evaluation import evaluate_model
 from partialner.selftrain import (
     METHODS,
@@ -343,6 +345,124 @@ class TestStageTable:
         got, was = full_params(model)["embed"], full_params(start)["embed"]
         np.testing.assert_array_equal(bits(got[outside]), bits(was[outside]))
         assert not np.array_equal(got[inside], was[inside])
+
+
+def one_token_partial(trn, outside):
+    """One-token partial sentences: an entity's first token, then `outside`
+    tokens labelled O, each with its label from `trn`."""
+    pairs = [(t, l) for s in trn.sentences for t, l in zip(s.tokens, s.labels)]
+    entity = next(s for s in trn.sentences if s.labels[0])
+    words = [(entity.tokens[0], entity.labels[0]), *[p for p in pairs if not p[1]][:outside]]
+    return partial_from_labels(Corpus(tuple(Sentence((t,), (l,)) for t, l in words),
+                                      trn.scheme))
+
+
+def teacher_stage(monkeypatch, cores, init, partial, val, config, guided):
+    """`self_train` of a copy of `init` with `cores` usable cores, and the
+    threads that computed features during it."""
+    monkeypatch.setattr(selftrain, "_usable_cores", lambda: cores)
+    threads, features = set(), tagger._features
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return features(*args)
+    monkeypatch.setattr(tagger, "_features", spy)
+    try:
+        return self_train(init.copy(), partial, val, config, guided), threads
+    finally:
+        monkeypatch.setattr(tagger, "_features", features)
+
+
+class TestTeacherHelper:
+    """With a core to spare, a helper thread scores the frozen teacher's
+    batches; the stage is the inline one bit for bit, and no thread outlives it."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self, splits, masked):
+        return ner_fit(masked, splits[1], fast_config())[0]
+
+    @pytest.mark.parametrize("overrides", [
+        {"guided": True},
+        {"hard_targets": True},
+        {"guided": True, "teacher_refresh_period": 2, "self_train_epochs": 4},
+    ], ids=["guided", "hard_targets", "refresh2"])
+    def test_the_helper_changes_no_bit(self, splits, masked, fitted, monkeypatch, overrides):
+        args = (fitted, masked, splits[1], *stage_args(**overrides))
+        inline, inline_threads = teacher_stage(monkeypatch, 1, *args)
+        helped, helped_threads = teacher_stage(monkeypatch, 2, *args)
+        assert inline_threads == {threading.get_ident()}
+        assert len(helped_threads) == 2  # the student here, the teacher on the helper
+        assert_same_fit(helped, inline)
+
+    def test_a_one_token_last_batch_changes_no_bit(self, splits, monkeypatch):
+        # 5 sentences in batches of 2: the last batch is one token, a
+        # product numpy computes through gemv, whose bits differ from gemm's;
+        # guidance pins the entity's row only
+        trn, val = splits
+        partial = one_token_partial(trn, 4)
+        cfg, guided = stage_args(guided=True, tagger={"batch_size": 2})
+        init = TaggerModel.init(cfg.tagger, val.scheme)
+        inline, _ = teacher_stage(monkeypatch, 1, init, partial, val, cfg, guided)
+        helped, threads = teacher_stage(monkeypatch, 2, init, partial, val, cfg, guided)
+        assert len(threads) == 2
+        assert_same_fit(helped, inline)
+
+    @pytest.mark.parametrize("cores", [2, 1], ids=["helper", "inline"])
+    def test_a_scoring_error_ends_the_stage_and_its_thread(self, splits, masked, fitted,
+                                                          monkeypatch, cores):
+        calls, pin = [], selftrain.pin_rows
+
+        def failing_pin(*args):  # the teacher's second batch fails
+            calls.append(threading.get_ident())
+            if len(calls) == 2:
+                raise ValueError("teacher batch failed")
+            return pin(*args)
+        monkeypatch.setattr(selftrain, "pin_rows", failing_pin)
+        monkeypatch.setattr(selftrain, "_usable_cores", lambda: cores)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="teacher batch failed"):
+            self_train(fitted.copy(), masked, splits[1], *stage_args(guided=True))
+        assert (calls[1] != threading.get_ident()) == (cores > 1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cores", [2, 1], ids=["helper", "inline"])
+    def test_an_epoch_hook_error_ends_the_stage_and_its_thread(self, splits, masked, fitted,
+                                                              monkeypatch, cores):
+        loop, during = tagger.fit, []
+
+        def failing_fit(*args):
+            def hook(epoch, model):
+                during.append(threading.active_count())
+                raise RuntimeError("epoch hook failed")
+            return loop(*args[:-1], hook)
+        monkeypatch.setattr(tagger, "fit", failing_fit)
+        monkeypatch.setattr(selftrain, "_usable_cores", lambda: cores)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="epoch hook failed"):
+            self_train(fitted.copy(), masked, splits[1], *stage_args(guided=True))
+        assert during == [before + (cores > 1)]  # the helper was alive in the hook
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["pool_worker", "one_core", "spare_core"])
+    def test_only_a_spare_core_starts_the_helper(self, splits, masked, fitted,
+                                                 monkeypatch, tmp_path, where):
+        made, executor = [], selftrain.ThreadPoolExecutor
+
+        def spy(*args):
+            made.append(args)
+            return executor(*args)
+        monkeypatch.setattr(selftrain, "ThreadPoolExecutor", spy)
+        monkeypatch.setattr(selftrain, "_pool_worker", False)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0} if where == "one_core" else {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1 if where == "one_core" else 2)
+        if where == "pool_worker":
+            monkeypatch.setattr(experiment, "_POOL_STATE", {})
+            monkeypatch.setattr(experiment, "_worker_state", lambda *args: {})
+            experiment._pool_init(None, str(tmp_path), str(tmp_path))
+            assert selftrain._pool_worker
+        self_train(fitted.copy(), masked, splits[1], *stage_args(guided=True))
+        assert made == ([(1,)] if where == "spare_core" else [])
 
 
 class TestRunMethod:

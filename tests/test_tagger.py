@@ -800,7 +800,8 @@ class TestStageTable:
             hooked.append(epoch)
             model.positions(encode_tokens([["an", "unseen", "sentence"]], cfg))
 
-        zeros = lambda tok, ids, flags: np.zeros((tok.size, scheme.tag_count))
+        def zeros(tok, ids, flags, batches):
+            return (np.zeros((tok[b].size, scheme.tag_count)) for b in batches)
         with pytest.raises(RuntimeError, match="positions are stale"):
             fit(table, zeros, "ner_fit", 0, 3, after_epoch=score_unseen)
         assert hooked == [1]
@@ -944,6 +945,31 @@ class TestCheckpoint:
             "float_rows": (rows.astype(np.float64), embed),
             "embed_shape": (rows, embed[:-1]),
         }[fault]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("fault,message", [
+        ("float32_embed", "embed dtype float32, want float64"),
+        ("float32_w1", "w1 dtype float32, want float64"),
+        ("transposed_w1", r"w1 shape \(8, 24\), want \(24, 8\)"),
+        ("short_b2", r"b2 shape \(6,\), want \(7,\)"),
+    ])
+    def test_rejects_parameters_the_model_cannot_use(self, scheme, make_sentence, tmp_path,
+                                                     fault, message):
+        """A parameter of another dtype or shape would load and score silently."""
+        model, _ = model_holding_rows(scheme, make_sentence)
+        path = str(tmp_path / "model.npz")
+        save_checkpoint(model, path)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        name, arr = {
+            "float32_embed": ("embed", arrays["embed"].astype(np.float32)),
+            "float32_w1": ("w1", arrays["w1"].astype(np.float32)),
+            "transposed_w1": ("w1", arrays["w1"].T),
+            "short_b2": ("b2", arrays["b2"][:-1]),
+        }[fault]
+        arrays[name] = arr
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
