@@ -15,7 +15,7 @@ import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -124,7 +124,7 @@ def _distill(init_model: tagger.TaggerModel,
 
     helper = ThreadPoolExecutor(1) if not _pool_worker and _usable_cores() > 1 else None
 
-    def targets(tok: np.ndarray, ids: np.ndarray, flags: np.ndarray, batches: list):
+    def targets(tok: np.ndarray, ids: np.ndarray, flags: np.ndarray, batches: Iterable[slice]):
         if helper is None:
             return (score(tok[b], ids[b], flags[b]) for b in batches)
         futures = [helper.submit(score, tok[b], ids[b], flags[b]) for b in batches]

@@ -482,9 +482,10 @@ def fit(table: StageTable, targets: Callable[..., Iterable[np.ndarray]],
     in that order once; each batch is then a contiguous slice of them.  One SGD
     step per batch goes towards that batch's rows from `targets(tok, ids,
     flags, batches)`, called once per epoch with the epoch's flat token
-    indices `tok`, their embedding positions `ids` and flags `flags`, and the
-    slices `batches` of them: it yields each batch's (tokens, C) target rows in
-    batch order, and the epoch has drawn them all before `after_epoch` runs.
+    indices `tok`, their embedding positions `ids` and flags `flags`, and an
+    iterator `batches` of the batches' slices of them: it yields each batch's
+    (tokens, C) target rows in batch order, and the epoch has drawn them all
+    before `after_epoch` runs.
     Validation span micro-F1 follows.
     After each epoch, in this order: the best iteration so far is selected (the
     starting model is iteration 0 and a tie keeps the earlier one),
@@ -501,8 +502,7 @@ def fit(table: StageTable, targets: Callable[..., Iterable[np.ndarray]],
     trace = StageTrace(stage, [validation_f1(model, *val)])
     best, since_best = model.copy(), 0
     bounds = np.zeros(n + 1, dtype=np.intp)
-    edges = [*range(0, n, config.batch_size), n]
-    ranges = list(zip(edges, edges[1:]))  # each batch's first and end sentence
+    starts = range(0, n, config.batch_size)
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         sizes = enc.lengths[order]
@@ -510,11 +510,13 @@ def fit(table: StageTable, targets: Callable[..., Iterable[np.ndarray]],
         # flat token indices of the sentences in `order`, sentence by sentence
         tok = np.arange(bounds[-1]) + np.repeat(enc.offsets[order] - bounds[:-1], sizes)
         ids, flags = enc.ids[tok], enc.flags[tok]
-        batches = [slice(bounds[a], bounds[b]) for a, b in ranges]
+        rows = iter(targets(tok, ids, flags, (
+            slice(bounds[start], bounds[min(start + config.batch_size, n)]) for start in starts)))
         total = 0.0
-        for (start, stop), batch, rows in zip(ranges, batches,
-                                              targets(tok, ids, flags, batches), strict=True):
-            loss, grads = flat_loss_and_grads(model, ids[batch], flags[batch], rows,
+        for start in starts:
+            stop = min(start + config.batch_size, n)
+            batch = slice(bounds[start], bounds[stop])
+            loss, grads = flat_loss_and_grads(model, ids[batch], flags[batch], next(rows),
                                               sentence_weights(sizes[start:stop]))
             sgd_step(model, grads, config.learning_rate)
             total += loss * (stop - start)
