@@ -85,9 +85,6 @@ def guide_correct(dists: np.ndarray, known: EntityAnnotationSet,
     length = dists.shape[0]
     if len(labels) != length:
         raise ValueError(f"{length} distributions for {len(labels)} labels")
-    for span in known:
-        if span.end > length:
-            raise ValueError(f"span {span} exceeds sequence length {length}")
     positions = known.covered_indices(length)
     return pin_rows(dists, positions, [labels[k] for k in positions])
 

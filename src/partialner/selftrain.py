@@ -91,9 +91,14 @@ def self_train(init_model: tagger.TaggerModel,
         return _distill(init_model, partial, val, config, guided)
     table = tagger.StageTable(init_model, [], val)  # no training tokens: validation only
     f1 = tagger.validation_f1(init_model, table.val_enc, table.val_gold, table.val_work)
-    epochs, period = config.self_train_epochs, config.teacher_refresh_period
-    return init_model, StageTrace("self_train", [f1] * (epochs + 1),
-                                  list(range(period, epochs + 1, period)))
+    return init_model, StageTrace("self_train", [f1] * (config.self_train_epochs + 1),
+                                  _refreshes(config))
+
+
+def _refreshes(config: SelfTrainConfig) -> list[int]:
+    """The epochs after which the student replaces the teacher, the last epoch included."""
+    period = config.teacher_refresh_period
+    return list(range(period, config.self_train_epochs + 1, period))
 
 
 def _distill(init_model: tagger.TaggerModel,
@@ -104,8 +109,9 @@ def _distill(init_model: tagger.TaggerModel,
     (identical to scoring once per refresh window, as it is frozen between).
     With a core to spare, a helper thread scores an epoch's batches ahead of
     the student, bit for bit as inline: only it reads the teacher during an
-    epoch, `refresh` writes it after the epoch's last batch, and it calls
-    nothing a tracer wraps (a tracer keeps one span stack per process)."""
+    epoch, the next epoch's `targets` call refreshes it on this thread before
+    submitting a batch (`fit` has drawn every row, so the helper is idle), and
+    it calls nothing a tracer wraps (a tracer keeps one span stack per process)."""
     table = tagger.StageTable(init_model, [p.tokens for p in partial], val)
     teacher = init_model.copy()
     labels = np.asarray([l for p in partial for l in p.labels], dtype=np.intp)
@@ -123,25 +129,25 @@ def _distill(init_model: tagger.TaggerModel,
         return rows
 
     helper = ThreadPoolExecutor(1) if not _pool_worker and _usable_cores() > 1 else None
+    refreshes = _refreshes(config)
 
-    def targets(tok: np.ndarray, ids: np.ndarray, flags: np.ndarray, batches: Iterable[slice]):
+    def targets(epoch: int, tok: np.ndarray, ids: np.ndarray, flags: np.ndarray,
+                batches: Iterable[slice]):
+        if epoch - 1 in refreshes:  # the student after epoch - 1 is the teacher
+            teacher.load_from(table.model)
         if helper is None:
             return (score(tok[b], ids[b], flags[b]) for b in batches)
         futures = [helper.submit(score, tok[b], ids[b], flags[b]) for b in batches]
         return (future.result() for future in futures)
 
-    def refresh(epoch: int, student: tagger.TaggerModel) -> bool:
-        if epoch % config.teacher_refresh_period:
-            return False
-        teacher.load_from(student)
-        return True
-
     try:
-        return tagger.fit(table, targets, "self_train", STREAM_SELFTRAIN,
-                          config.self_train_epochs, None, refresh)
+        model, trace = tagger.fit(table, targets, "self_train", STREAM_SELFTRAIN,
+                                  config.self_train_epochs)
     finally:
         if helper is not None:  # no thread outlives the stage, whatever ended it
             helper.shutdown(cancel_futures=True)
+    trace.refresh_epochs = refreshes  # `fit` runs every epoch: no patience
+    return model, trace
 
 
 class StageMemo:

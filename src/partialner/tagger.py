@@ -440,7 +440,7 @@ def _fixed_targets(data, scheme: LabelScheme,
         raise TypeError(f"cannot train on {type(data).__name__}; "
                         "expected Corpus or SoftDataset")
     return [s.tokens for s in data.sentences], \
-        lambda tok, ids, flags, batches: (rows[tok[b]] for b in batches)
+        lambda epoch, tok, ids, flags, batches: (rows[tok[b]] for b in batches)
 
 
 def validation_f1(model: TaggerModel, val_enc: EncodedTokens, val_gold: np.ndarray,
@@ -455,8 +455,8 @@ def validation_f1(model: TaggerModel, val_enc: EncodedTokens, val_gold: np.ndarr
 
 
 class StageTable:
-    """One training stage's inputs, built once: `model`, holding the `held` rows of
-    the training and validation tokens, their encodings by `model.config` and
+    """One training stage's inputs, built once: `model`, holding the rows of the
+    training and validation tokens, their encodings by `model.config` and
     position, the validation gold keys and the block workspace every validation
     of the stage reuses (`val_work`)."""
 
@@ -466,13 +466,11 @@ class StageTable:
         val_enc = encode_tokens([s.tokens for s in val.sentences], config)
         self.model, self.val_gold = model, evaluation.gold_keys(val)[0]
         self.enc, self.val_enc = model.positions(enc, val_enc)
-        self.held = model.rows.size
         self.val_work = score_workspace(config)
 
 
 def fit(table: StageTable, targets: Callable[..., Iterable[np.ndarray]],
         stage: str, stream: int, epochs: int, patience: int | None = None,
-        after_epoch: Callable[[int, TaggerModel], bool] | None = None,
         ) -> tuple[TaggerModel, StageTrace]:
     """The mini-batch SGD loop of every training stage.
 
@@ -480,19 +478,17 @@ def fit(table: StageTable, targets: Callable[..., Iterable[np.ndarray]],
     config and returns it.  Each epoch shuffles the sentences of `table.enc`
     with the `stream` RNG of the config's seed and gathers their ids and flags
     in that order once; each batch is then a contiguous slice of them.  One SGD
-    step per batch goes towards that batch's rows from `targets(tok, ids,
-    flags, batches)`, called once per epoch with the epoch's flat token
-    indices `tok`, their embedding positions `ids` and flags `flags`, and an
-    iterator `batches` of the batches' slices of them: it yields each batch's
-    (tokens, C) target rows in batch order, and the epoch has drawn them all
-    before `after_epoch` runs.
+    step per batch goes towards that batch's rows from `targets(epoch, tok, ids,
+    flags, batches)`, called once per epoch, in epoch order, with the epoch's
+    number, its flat token indices `tok`, their embedding positions `ids` and
+    flags `flags`, and an iterator `batches` of the batches' slices of them: it
+    yields each batch's (tokens, C) target rows in batch order, and the epoch
+    has drawn them all before validation.
     Validation span micro-F1 follows.
-    After each epoch, in this order: the best iteration so far is selected (the
-    starting model is iteration 0 and a tie keeps the earlier one),
-    `after_epoch(epoch, model)` runs (adding no rows) and its truthy return is
-    recorded as a teacher refresh, and the stage stops once `patience` epochs in
-    a row have not improved.  The model ends holding the selected iteration's
-    parameters.  Deterministic given `model.config.seed`."""
+    After each epoch the best iteration so far is selected (the starting model
+    is iteration 0 and a tie keeps the earlier one), and the stage stops once
+    `patience` epochs in a row have not improved.  The model ends holding the
+    selected iteration's parameters.  Deterministic given `model.config.seed`."""
     enc, model, val = table.enc, table.model, (table.val_enc, table.val_gold, table.val_work)
     config = model.config
     n = len(enc)
@@ -510,7 +506,7 @@ def fit(table: StageTable, targets: Callable[..., Iterable[np.ndarray]],
         # flat token indices of the sentences in `order`, sentence by sentence
         tok = np.arange(bounds[-1]) + np.repeat(enc.offsets[order] - bounds[:-1], sizes)
         ids, flags = enc.ids[tok], enc.flags[tok]
-        rows = iter(targets(tok, ids, flags, (
+        rows = iter(targets(epoch, tok, ids, flags, (
             slice(bounds[start], bounds[min(start + config.batch_size, n)]) for start in starts)))
         total = 0.0
         for start in starts:
@@ -527,10 +523,6 @@ def fit(table: StageTable, targets: Callable[..., Iterable[np.ndarray]],
             best.load_from(model)
         else:
             since_best += 1
-        if after_epoch is not None and after_epoch(epoch, model):
-            trace.refresh_epochs.append(epoch)
-        if model.rows.size != table.held:
-            raise RuntimeError("after_epoch added embedding rows; the stage's positions are stale")
         if patience is not None and since_best >= patience:
             trace.stopped_early = True
             break

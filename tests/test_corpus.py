@@ -1,4 +1,5 @@
 """Label scheme layout, BIO codecs, CoNLL parsing, synthetic generation."""
+import itertools
 import re
 
 import pytest
@@ -142,6 +143,27 @@ class TestConll:
         spans = corpus.gold_spans()
         assert spans[0] == [EntitySpan(0, 2, "LOC")]
         assert spans[1] == [EntitySpan(0, 1, "LOC")]
+
+    def test_iob1_conversion_is_the_per_tag_rule_exhaustively(self):
+        # every tag sequence of length 1-6 over 2 categories, one sentence each
+        scheme = LabelScheme(("A", "B"))
+
+        def to_bio(labels):  # I-X not preceded by a tag of category X becomes B-X
+            out, prev = [], None
+            for tag in labels:
+                cat = scheme.category_of(tag)
+                if cat is not None and scheme.is_inside(tag) and cat != prev:
+                    tag = scheme.b_index(cat)
+                out.append(tag)
+                prev = cat
+            return tuple(out)
+        seqs = [seq for n in range(1, 7)
+                for seq in itertools.product(range(scheme.tag_count), repeat=n)]
+        text = "\n\n".join("\n".join(f"t {scheme.tag_name(l)}" for l in seq) for seq in seqs)
+        corpus = parse_conll(text, scheme)
+        assert len(corpus) == len(seqs) == 19530
+        for seq, sentence in zip(seqs, corpus):
+            assert sentence.labels == to_bio(seq), seq
 
     def test_unknown_tag_reports_line(self, scheme):
         with pytest.raises(ParseError, match="line 2"):

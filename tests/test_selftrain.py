@@ -426,21 +426,21 @@ class TestTeacherHelper:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cores", [2, 1], ids=["helper", "inline"])
-    def test_an_epoch_hook_error_ends_the_stage_and_its_thread(self, splits, masked, fitted,
-                                                              monkeypatch, cores):
-        loop, during = tagger.fit, []
+    def test_a_val_f1_error_ends_the_stage_and_its_thread(self, splits, masked, fitted,
+                                                         monkeypatch, cores):
+        validate, during = tagger.validation_f1, []
 
-        def failing_fit(*args):
-            def hook(epoch, model):
-                during.append(threading.active_count())
-                raise RuntimeError("epoch hook failed")
-            return loop(*args[:-1], hook)
-        monkeypatch.setattr(tagger, "fit", failing_fit)
+        def failing_validation(*args):  # the first epoch's validation fails
+            during.append(threading.active_count())
+            if len(during) == 2:
+                raise RuntimeError("validation failed")
+            return validate(*args)
+        monkeypatch.setattr(tagger, "validation_f1", failing_validation)
         monkeypatch.setattr(selftrain, "_usable_cores", lambda: cores)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="epoch hook failed"):
+        with pytest.raises(RuntimeError, match="validation failed"):
             self_train(fitted.copy(), masked, splits[1], *stage_args(guided=True))
-        assert during == [before + (cores > 1)]  # the helper was alive in the hook
+        assert during == [before, before + (cores > 1)]  # the helper was alive in validation
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("where", ["pool_worker", "one_core", "spare_core"])

@@ -29,7 +29,6 @@ from partialner.tagger import (
     TaggerModel,
     encode_tokens,
     finite_difference_check,
-    fit,
     flat_loss_and_grads,
     forward_flat,
     initial_rows,
@@ -787,24 +786,6 @@ class TestStageTable:
         np.testing.assert_array_equal(model.rows[table.val_enc.ids], val_enc.ids)
         np.testing.assert_array_equal(model.embed, full[model.rows])
         np.testing.assert_array_equal(full_params(model)["embed"], full)
-
-    def test_an_epoch_hook_that_adds_rows_stops_the_stage(self, scheme, learnable):
-        # new rows re-sort `model.rows`, so the stage's positions would
-        # silently gather other rows
-        trn, val = learnable
-        cfg = small_config(hash_buckets=4096)
-        table = StageTable(TaggerModel.init(cfg, scheme), [s.tokens for s in trn.sentences], val)
-        hooked = []
-
-        def score_unseen(epoch, model):
-            hooked.append(epoch)
-            model.positions(encode_tokens([["an", "unseen", "sentence"]], cfg))
-
-        def zeros(tok, ids, flags, batches):
-            return (np.zeros((tok[b].size, scheme.tag_count)) for b in batches)
-        with pytest.raises(RuntimeError, match="positions are stale"):
-            fit(table, zeros, "ner_fit", 0, 3, after_epoch=score_unseen)
-        assert hooked == [1]
 
     def test_rows_outside_the_stage_keep_their_bits(self, scheme, learnable):
         trn, val = learnable
