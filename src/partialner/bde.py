@@ -18,7 +18,7 @@ import numpy as np
 
 from . import selftrain, tagger
 from .annotation import PartiallyAnnotatedSentence
-from .corpus import Corpus, LabelScheme
+from .corpus import Corpus, LabelScheme, check_types
 from .rng import STREAM_PARTITION, derive_seed, seeded_rng
 
 FINAL_METHODS = ("supervised", "guided_bond")
@@ -46,6 +46,7 @@ class BdeConfig:
         return self.selftrain.tagger.seed
 
     def __post_init__(self):
+        check_types(self)
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if self.inner_method not in selftrain.METHODS:

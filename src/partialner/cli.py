@@ -12,8 +12,8 @@ from dataclasses import replace
 
 from . import annotation, tagger
 from .annotation import mask_entities, partial_from_labels, to_corpus, write_kept_sidecar
-from .corpus import (ConfigError, ParseError, SynthConfig, generate_synthetic, read_conll,
-                     serialize_conll)
+from .corpus import (ConfigError, ParseError, SynthConfig, generate_synthetic, read_config,
+                     read_conll, serialize_conll)
 from .evaluation import evaluate_model
 from .experiment import (ExperimentConfig, MethodSpec, load_json, run_experiment, train_spec,
                          verify_report)
@@ -22,7 +22,7 @@ USAGE_ERROR = 2
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = SynthConfig.from_dict(load_json(args.config))
+    config = read_config(SynthConfig, load_json(args.config), "synth")
     if args.n_sentences is not None:
         config = replace(config, n_sentences=args.n_sentences)
     if args.seed is not None:

@@ -7,7 +7,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from numbers import Integral, Real
 from pathlib import Path
@@ -49,6 +49,33 @@ def _is_a(value, hint) -> bool:
             _is_a(k, args[0]) and _is_a(v, args[1]) for k, v in value.items())
     kind = {int: Integral, float: Real}.get(origin, origin)
     return isinstance(value, kind) and (origin is bool or not isinstance(value, bool))
+
+
+def read_config(cls, data: Mapping, name: str):
+    """The config dataclass `cls` from parsed JSON `data`, each value read as its field declares
+    (`_from_json`); an unknown key is a ConfigError that names the config `name`."""
+    data = {**data}  # unlike dict(data), rejects a list of pairs
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    return cls(**{key: _from_json(v, hints[key], name, key) for key, v in data.items()})
+
+
+def _from_json(value, hint, name: str, key: str):
+    """`value`, its lists as tuples and its mappings as configs where `hint` declares them."""
+    for kind in get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,):
+        origin, args = get_origin(kind) or kind, get_args(kind)
+        if origin is tuple and isinstance(value, list):
+            return tuple(value)
+        if origin is Mapping and isinstance(value, Mapping):
+            return {k: _from_json(v, args[1], name, key) for k, v in value.items()}
+        if is_dataclass(origin) and value is not None:
+            try:
+                return read_config(origin, value, key)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad {name} config: {key}: {exc}") from None
+    return value
 
 
 @dataclass(frozen=True)
@@ -438,21 +465,6 @@ class SynthConfig:
         if self.n_sentences < 0:
             raise ConfigError("n_sentences must be >= 0")
 
-    @staticmethod
-    def from_dict(data: Mapping) -> "SynthConfig":
-        """Config from parsed JSON: lists become tuples, unknown keys are errors."""
-        data = {**data}  # unlike dict(data), rejects a list of pairs
-        unknown = set(data) - set(SynthConfig.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
-        for key in ("categories", "templates"):
-            if isinstance(data.get(key), list):
-                data[key] = tuple(data[key])
-        if isinstance(data.get("gazetteers"), Mapping):
-            data["gazetteers"] = {c: tuple(v) if isinstance(v, list) else v
-                                  for c, v in data["gazetteers"].items()}
-        return SynthConfig(**data)
-
 
 @dataclass(frozen=True)
 class _Slot:
@@ -483,10 +495,9 @@ def generate_synthetic(config: SynthConfig) -> Corpus:
     Each sentence picks one template uniformly, then fills every slot with a
     uniform gazetteer draw (multi-word surfaces yield B-/I- runs).
     """
-    scheme = LabelScheme(tuple(config.categories))
-    gaz = {c: tuple(v) for c, v in
-           (config.gazetteers or DEFAULT_GAZETTEERS).items()}
-    templates = DEFAULT_TEMPLATES if config.templates is None else tuple(config.templates)
+    scheme = LabelScheme(config.categories)
+    gaz = config.gazetteers or DEFAULT_GAZETTEERS
+    templates = DEFAULT_TEMPLATES if config.templates is None else config.templates
     if not templates:
         raise ConfigError("empty template pool")
     parsed = [_parse_template(t, scheme, gaz) for t in templates]

@@ -22,11 +22,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import bde, selftrain, tagger
+from . import bde, selftrain
 # partial_from_kept is unused here, but perfbench/probes.py wraps this binding
 from .annotation import (PartiallyAnnotatedSentence, _per_corpus, _sample_kept, mask_entities,
                          partial_from_kept, read_kept_sidecar, write_kept_sidecar)
-from .corpus import (ConfigError, Corpus, SynthConfig, check_types, generate_synthetic,
+from .corpus import (ConfigError, Corpus, SynthConfig, generate_synthetic, read_config,
                      read_conll, serialize_conll)
 from .evaluation import evaluate_model
 from .rng import derive_seed
@@ -90,7 +90,7 @@ class ExperimentConfig(selftrain.SelfTrainConfig):
     workers: int | None = None   # None: one per usable core; 1: in-process serial
 
     def __post_init__(self):
-        check_types(self)
+        super().__post_init__()
         paths = (self.train_path, self.dev_path, self.test_path)
         if any(paths) and not all(paths):
             raise ConfigError("set all of train/dev/test paths or none")
@@ -112,26 +112,12 @@ class ExperimentConfig(selftrain.SelfTrainConfig):
             raise ConfigError(f"bde_k must be >= 2, got {self.bde_k}")
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1 or unset, got {self.workers}")
-        super().__post_init__()
 
     @staticmethod
     def from_dict(data: Mapping) -> "ExperimentConfig":
         data = {**data}  # unlike dict(data), rejects a list of pairs
         data.pop("out_dir", None)  # consumed by the CLI, not part of the matrix
-        unknown = set(data) - set(ExperimentConfig.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown experiment config keys: {sorted(unknown)}")
-        for key in ("fractions", "seeds", "methods"):
-            if isinstance(data.get(key), list):
-                data[key] = tuple(data[key])
-        nested = {"synth": SynthConfig.from_dict, "tagger": lambda d: tagger.TaggerConfig(**d)}
-        for key, build in nested.items():
-            if data.get(key) is not None:
-                try:
-                    data[key] = build(data[key])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad experiment config: {key}: {exc}") from None
-        return ExperimentConfig(**data)
+        return read_config(ExperimentConfig, data, "experiment")
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
@@ -283,7 +269,6 @@ def _worker_cell(st: dict, args: tuple[str, float, int]) -> RunRecord:
 
 
 def _pool_init(config: ExperimentConfig, cache_dir: str, lineage_dir: str) -> None:
-    selftrain._pool_worker = True  # its siblings use the other cores: no teacher helper
     _POOL_STATE.update(_worker_state(config, cache_dir, lineage_dir))
 
 

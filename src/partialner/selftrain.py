@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -21,13 +22,11 @@ import numpy as np
 
 from . import tagger
 from .annotation import PartiallyAnnotatedSentence, one_hot_rows, pin_rows, to_corpus
-from .corpus import ConfigError, Corpus
+from .corpus import ConfigError, Corpus, check_types
 from .rng import STREAM_SELFTRAIN
 from .tagger import StageTrace
 
 METHODS = ("supervised", "bond", "guided_bond")
-
-_pool_worker = False  # set by experiment._pool_init: the pool's workers take every core
 
 
 def _usable_cores() -> int:
@@ -48,6 +47,7 @@ class SelfTrainConfig:
     hard_targets: bool = False           # argmax teacher outputs into one-hots
 
     def __post_init__(self):
+        check_types(self)
         if self.teacher_refresh_period < 1:
             raise ConfigError("teacher_refresh_period must be >= 1")
         if self.self_train_epochs < 1:
@@ -107,11 +107,12 @@ def _distill(init_model: tagger.TaggerModel,
     """`self_train` through `tagger.fit`, with a frozen teacher's rows as
     targets: a copy of the student holding the stage's rows, scored per batch
     (identical to scoring once per refresh window, as it is frozen between).
-    With a core to spare, a helper thread scores an epoch's batches ahead of
-    the student, bit for bit as inline: only it reads the teacher during an
-    epoch, the next epoch's `targets` call refreshes it on this thread before
-    submitting a batch (`fit` has drawn every row, so the helper is idle), and
-    it calls nothing a tracer wraps (a tracer keeps one span stack per process)."""
+    With a core to spare, outside a pool worker (its siblings take the others),
+    a helper thread scores an epoch's batches ahead of the student, bit for bit
+    as inline: only it reads the teacher during an epoch, the next epoch's
+    `targets` call refreshes it on this thread before submitting a batch (`fit`
+    has drawn every row, so the helper is idle), and it calls nothing a tracer
+    wraps (a tracer keeps one span stack per process)."""
     table = tagger.StageTable(init_model, [p.tokens for p in partial], val)
     teacher = init_model.copy()
     labels = np.asarray([l for p in partial for l in p.labels], dtype=np.intp)
@@ -128,7 +129,8 @@ def _distill(init_model: tagger.TaggerModel,
             rows = pin_rows(rows, pinned, labels[tok[pinned]])
         return rows
 
-    helper = ThreadPoolExecutor(1) if not _pool_worker and _usable_cores() > 1 else None
+    spare = multiprocessing.parent_process() is None and _usable_cores() > 1
+    helper = ThreadPoolExecutor(1) if spare else None
     refreshes = _refreshes(config)
 
     def targets(epoch: int, tok: np.ndarray, ids: np.ndarray, flags: np.ndarray,

@@ -118,6 +118,8 @@ class TestBdeConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             BdeConfig(k=1)
+        with pytest.raises(ValueError, match="k must be int, got 3.0"):
+            BdeConfig(k=3.0)
         with pytest.raises(ValueError, match="inner"):
             BdeConfig(inner_method="distill")
         with pytest.raises(ValueError, match="final"):

@@ -112,7 +112,8 @@ class TestExperimentConfig:
 
     def test_from_dict_builds_nested_configs(self):
         cfg = ExperimentConfig.from_dict({
-            "synth": {"n_sentences": 50, "seed": 3},
+            "synth": {"n_sentences": 50, "seed": 3, "categories": ["PER", "LOC"],
+                      "gazetteers": {"PER": ["Anna"], "LOC": ["Oslo"]}},
             "tagger": {"embed_dim": 8},
             "fractions": [0.1, 0.5],
             "seeds": [0],
@@ -120,6 +121,8 @@ class TestExperimentConfig:
             "out_dir": "ignored",
         })
         assert cfg.synth.n_sentences == 50
+        assert cfg.synth.categories == ("PER", "LOC")
+        assert cfg.synth.gazetteers == {"PER": ("Anna",), "LOC": ("Oslo",)}
         assert cfg.tagger.embed_dim == 8
         assert cfg.fractions == (0.1, 0.5)
         assert cfg.methods == ("bond",)
@@ -133,6 +136,7 @@ class TestExperimentConfig:
         ({"tagger": {"embed_dims": 8}}, "bad experiment config"),
         ({"tagger": {"patience": 0}}, "patience must be >= 1"),
         ({"tagger": {"learning_rate": float("nan")}}, "learning_rate must be positive"),
+        ({"tagger": {"embed_dims": 8}}, "unknown tagger config keys"),
     ])
     def test_from_dict_rejects_unknown_nested_keys(self, data, message):
         with pytest.raises(ConfigError, match=message):

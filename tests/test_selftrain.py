@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from partialner import experiment, selftrain, tagger
+from partialner import selftrain, tagger
 from partialner.annotation import mask_entities, one_hot_rows, partial_from_labels
 from partialner.corpus import ConfigError, Corpus, Sentence, SynthConfig, generate_synthetic
 from partialner.evaluation import evaluate_model
@@ -76,6 +76,8 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         dict(teacher_refresh_period=0),
         dict(self_train_epochs=0),
+        dict(teacher_refresh_period=1.5),
+        dict(hard_targets="no"),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ConfigError):
@@ -445,22 +447,18 @@ class TestTeacherHelper:
 
     @pytest.mark.parametrize("where", ["pool_worker", "one_core", "spare_core"])
     def test_only_a_spare_core_starts_the_helper(self, splits, masked, fitted,
-                                                 monkeypatch, tmp_path, where):
+                                                 monkeypatch, where):
         made, executor = [], selftrain.ThreadPoolExecutor
 
         def spy(*args):
             made.append(args)
             return executor(*args)
         monkeypatch.setattr(selftrain, "ThreadPoolExecutor", spy)
-        monkeypatch.setattr(selftrain, "_pool_worker", False)
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: {0} if where == "one_core" else {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1 if where == "one_core" else 2)
-        if where == "pool_worker":
-            monkeypatch.setattr(experiment, "_POOL_STATE", {})
-            monkeypatch.setattr(experiment, "_worker_state", lambda *args: {})
-            experiment._pool_init(None, str(tmp_path), str(tmp_path))
-            assert selftrain._pool_worker
+        if where == "pool_worker":  # a worker process has a parent, the main process none
+            monkeypatch.setattr(selftrain.multiprocessing, "parent_process", lambda: object())
         self_train(fitted.copy(), masked, splits[1], *stage_args(guided=True))
         assert made == ([(1,)] if where == "spare_core" else [])
 
