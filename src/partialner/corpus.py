@@ -6,9 +6,10 @@ construction and safe to share between threads.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
+from itertools import groupby
 from numbers import Integral, Real
 from pathlib import Path
 from types import UnionType
@@ -270,53 +271,45 @@ def decode_bio(labels: Sequence[int], scheme: LabelScheme) -> list[EntitySpan]:
     return spans
 
 
-def parse_conll(text: str, scheme: LabelScheme, name: str = "") -> Corpus:
-    """Parse whitespace-column CoNLL text; the last column is the NER tag.
-
-    IOB1 input converts to BIO: an I-X that does not continue an X entity
-    becomes B-X (the identity on well-formed BIO input).  Lines whose first
-    token is `-DOCSTART-` are document separators and are dropped.
-    """
-    sentences: list[Sentence] = []
-    tokens: list[str] = []
-    labels: list[int] = []
-
-    def flush() -> None:
-        if tokens:
-            sentences.append(Sentence(tuple(tokens), _to_bio(labels, scheme)))
-            tokens.clear()
-            labels.clear()
-
+def _conll_rows(text: str) -> Iterator[tuple[int, int, str, str]]:
+    """(sentence number, line number, token, tag) of each token line of CoNLL text, lazily.
+    A blank line ends a sentence; a line whose first token is `-DOCSTART-` is dropped and ends
+    none; any other line has a token, then its tag (O, B-X or I-X) as its last column."""
+    sentence = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
-            flush()
-            continue
-        if parts[0] == DOCSTART:
-            continue
-        if len(parts) < 2:
-            raise ParseError(f"line {lineno}: expected token and tag columns, got {raw!r}")
-        try:
-            index = scheme.tag_index(parts[-1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: unknown tag {parts[-1]!r}") from None
-        tokens.append(parts[0])
-        labels.append(index)
-    flush()
+            sentence += 1
+        elif parts[0] != DOCSTART:
+            if len(parts) < 2:
+                raise ParseError(f"line {lineno}: expected token and tag columns, got {raw!r}")
+            tag = parts[-1]
+            if tag != "O" and (len(tag) < 3 or tag[1] != "-" or tag[0] not in "BI"):
+                raise ParseError(f"line {lineno}: unrecognized tag {tag!r}")
+            yield sentence, lineno, parts[0], tag
+
+
+def parse_conll(text: str, scheme: LabelScheme, name: str = "") -> Corpus:
+    """Corpus of whitespace-column CoNLL text (`_conll_rows`) under `scheme`.  IOB1 converts
+    to BIO: an I-X that continues no X entity becomes B-X (the identity on BIO input)."""
+    return _to_corpus(_conll_rows(text), scheme, name)
+
+
+def _to_corpus(rows: Iterable[tuple], scheme: LabelScheme, name: str) -> Corpus:
+    table, sentences = _tag_table(scheme), []
+    for _, sentence in groupby(rows, lambda row: row[0]):
+        tokens, labels, prev = [], [], 0
+        for _, lineno, token, tag in sentence:
+            if tag not in table:
+                raise ParseError(f"line {lineno}: unknown tag {tag!r}")
+            index = table[tag]
+            if scheme.is_inside(index) and scheme.category_of(prev) != scheme.category_of(index):
+                index -= 1  # IOB1: an I-X not after B-X or I-X becomes B-X, the index before it
+            tokens.append(token)
+            labels.append(index)
+            prev = index
+        sentences.append(Sentence(tuple(tokens), tuple(labels)))
     return Corpus(tuple(sentences), scheme, name)
-
-
-def _to_bio(labels: Sequence[int], scheme: LabelScheme) -> tuple[int, ...]:
-    """IOB1 to BIO: I-X not preceded by a tag of category X becomes B-X."""
-    out: list[int] = []
-    prev_cat: str | None = None
-    for tag in labels:
-        cat = scheme.category_of(tag)
-        if cat is not None and scheme.is_inside(tag) and cat != prev_cat:
-            tag = scheme.b_index(cat)
-        out.append(tag)
-        prev_cat = cat
-    return tuple(out)
 
 
 def serialize_conll(corpus: Corpus) -> str:
@@ -332,29 +325,31 @@ def serialize_conll(corpus: Corpus) -> str:
 
 def infer_scheme(*texts: str) -> LabelScheme:
     """LabelScheme from the union of categories appearing in CoNLL texts."""
-    cats: set[str] = set()
-    for text in texts:
-        for raw in text.splitlines():
-            parts = raw.split()
-            if not parts or parts[0] == DOCSTART or len(parts) < 2:
-                continue
-            tag = parts[-1]
-            if tag == "O":
-                continue
-            if len(tag) < 3 or tag[1] != "-" or tag[0] not in "BI":
-                raise ParseError(f"unrecognized tag {tag!r}")
-            cats.add(tag[2:])
+    return _scheme_of([_conll_rows(text) for text in texts])
+
+
+def _scheme_of(files: Iterable[Iterable[tuple]]) -> LabelScheme:
+    cats = {tag[2:] for rows in files for *_, tag in rows if tag != "O"}
     if not cats:
         raise ParseError("no entity tags found to infer a scheme from")
     return LabelScheme(tuple(sorted(cats)))
 
 
 def read_conll(paths: Sequence[str], scheme: LabelScheme | None = None) -> list[Corpus]:
-    """Corpora of CoNLL files, each named after its file, under `scheme` or
-    else the scheme inferred from all the files together."""
-    texts = [Path(p).read_text(encoding="utf-8") for p in paths]
-    scheme = scheme or infer_scheme(*texts)
-    return [parse_conll(t, scheme, Path(p).name) for t, p in zip(texts, paths)]
+    """Corpora of CoNLL files, each named after its file, under `scheme` or else the scheme
+    inferred from all the files together; each file's lines are read once, and a
+    ParseError from a file (a file that is not UTF-8 included) starts with its path."""
+    files = []
+    for path in paths:
+        try:  # a given scheme maps rows as they are read, so errors come in line order
+            rows = _conll_rows(Path(path).read_text(encoding="utf-8"))
+            files.append(_to_corpus(rows, scheme, Path(path).name) if scheme else list(rows))
+        except (ParseError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    if scheme is None:
+        scheme = _scheme_of(files)
+        files = [_to_corpus(rows, scheme, Path(p).name) for p, rows in zip(paths, files)]
+    return files
 
 
 # --- synthetic corpus generation -------------------------------------------
@@ -464,6 +459,9 @@ class SynthConfig:
         check_types(self)
         if self.n_sentences < 0:
             raise ConfigError("n_sentences must be >= 0")
+        texts = sum((self.gazetteers or {}).values(), self.templates or ())
+        if any(DOCSTART in text.split() for text in texts):
+            raise ConfigError(f"{DOCSTART} as a template or gazetteer word: CoNLL drops its line")
 
 
 @dataclass(frozen=True)

@@ -236,6 +236,18 @@ class TestExitCodes:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("dev_text", ["Oslo B-LOC\nbad\n", "Oslo B-LOC\nBergen X-LOC\n"],
+                             ids=["one-column", "bad-tag"])
+    def test_conll_error_names_its_file_and_line(self, workdir, tmp_path, capsys, dev_text):
+        bad = tmp_path / "bad_dev.conll"
+        bad.write_text(dev_text)
+        rc = cli.main(["train", "--method", "supervised", "--train", str(workdir / "masked.conll"),
+                       "--dev", str(bad), "--config", str(workdir / "train_config.json"),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {bad}: line 2: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_error_exits_one(self, tmp_path, capsys):
         not_npz = tmp_path / "model.npz"
         not_npz.write_text("this is not a checkpoint")

@@ -10,7 +10,7 @@ from partialner.corpus import (ConfigError, Corpus, DEFAULT_CATEGORIES,
                                EntitySpan, LabelScheme, ParseError, Sentence,
                                SynthConfig, decode_bio, encode_bio,
                                generate_synthetic, infer_scheme, parse_conll,
-                               serialize_conll)
+                               read_conll, serialize_conll)
 
 
 class TestLabelScheme:
@@ -199,6 +199,41 @@ class TestConll:
         scheme = infer_scheme("a B-ZZZ\n\nb I-AAA\n", "c B-MMM\n")
         assert scheme.categories == ("AAA", "MMM", "ZZZ")
 
+    @pytest.mark.parametrize("text,line", [
+        ("Anna B-PER\nKeller\n", 2),                       # one column
+        ("Anna B-PER\n\nOslo X-LOC\n", 3),                 # tag not O, B-X or I-X
+        ("Anna PER\nKeller\n", 1),                         # two faults: the first is named
+        ("Anna\nKeller PER\n", 1),
+        ("-DOCSTART- O\nAnna B-PER\n\nx\n", 4),
+    ], ids=["one-column", "bad-tag-shape", "tag-fault-first", "column-fault-first",
+            "after-docstart"])
+    def test_one_grammar_names_one_line(self, scheme, text, line):
+        for read in (infer_scheme, lambda t: parse_conll(t, scheme)):
+            with pytest.raises(ParseError, match=rf"^line {line}: "):
+                read(text)
+
+    def test_docstart_inside_a_sentence_does_not_split_it(self, scheme):
+        text = "Anna B-PER\n-DOCSTART- -X- O\nKeller I-PER\n\nOslo I-LOC\n"
+        corpus = parse_conll(text, scheme)
+        assert [s.tokens for s in corpus] == [("Anna", "Keller"), ("Oslo",)]
+        assert corpus.gold_spans() == [[EntitySpan(0, 2, "PER")], [EntitySpan(0, 1, "LOC")]]
+        assert infer_scheme(text).categories == ("LOC", "PER")
+
+    def test_read_conll_names_the_file_of_an_error(self, tmp_path, scheme):
+        good, bad = tmp_path / "good.conll", tmp_path / "bad.conll"
+        good.write_text("Anna B-PER\n")
+        bad.write_text("Oslo O\nBergen B-MISC\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(bad))}: line 2: unknown tag"):
+            read_conll([str(good), str(bad)], scheme)
+        bad.write_text("Oslo O\nBergen X-LOC\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(bad))}: line 2: unrecognized"):
+            read_conll([str(good), str(bad)])
+        bad.write_bytes("Oslo O\nZürich B-LOC\n".encode("latin-1"))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(bad))}: 'utf-8' codec"):
+            read_conll([str(good), str(bad)])
+        bad.write_text("Oslo O\n")  # a file with no entities reads under the files' scheme
+        assert [len(c) for c in read_conll([str(good), str(bad)])] == [1, 1]
+
     def test_infer_scheme_needs_entities(self):
         with pytest.raises(ParseError):
             infer_scheme("just O\nwords O\n")
@@ -265,7 +300,11 @@ class TestSynthetic:
          "empty gazetteer for category 'PER'"),
         (dict(templates=("{LOC} rose .", "   ")), "blank template '   '"),
         (dict(templates=()), "empty template pool"),
-    ], ids=["unknown-slot", "empty-gazetteer", "blank-template", "empty-pool"])
+        (dict(templates=("{PER} met -DOCSTART- .",)), "-DOCSTART- as a template or gazetteer word"),
+        (dict(gazetteers={"PER": ("Anna", "Omar -DOCSTART-")}),
+         "-DOCSTART- as a template or gazetteer word"),
+    ], ids=["unknown-slot", "empty-gazetteer", "blank-template", "empty-pool",
+            "docstart-template-word", "docstart-gazetteer-word"])
     def test_bad_templates(self, change, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             generate_synthetic(SynthConfig(n_sentences=5, seed=1, **change))
