@@ -99,7 +99,11 @@ class LineageRecord:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             for row in csv.DictReader(fh):
                 ids = [int(x) for x in row["sentence_ids"].split()] if row["sentence_ids"] else []
-                {"train": train, "scored": scored}[row["record"]][int(row["fold"])] = ids
+                folds = {"train": train, "scored": scored}[row["record"]]
+                if folds.setdefault(int(row["fold"]), ids) is not ids:
+                    raise ValueError(f"{path}: second {row['record']} row for fold {row['fold']}")
+        if set(train) != set(scored):
+            raise ValueError(f"{path}: folds {sorted(train)} trained, {sorted(scored)} scored")
         k = len(scored)
         sentence_fold = [0] * sum(len(v) for v in scored.values())
         for i in range(k):

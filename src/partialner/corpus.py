@@ -459,6 +459,10 @@ class SynthConfig:
         check_types(self)
         if self.n_sentences < 0:
             raise ConfigError("n_sentences must be >= 0")
+        try:
+            LabelScheme(self.categories)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         texts = sum((self.gazetteers or {}).values(), self.templates or ())
         if any(DOCSTART in text.split() for text in texts):
             raise ConfigError(f"{DOCSTART} as a template or gazetteer word: CoNLL drops its line")

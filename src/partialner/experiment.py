@@ -246,13 +246,7 @@ def run_cell(spec: MethodSpec, partial: Sequence[PartiallyAnnotatedSentence],
 
 # --- the cell worker: a pool process, or this one when workers == 1 ----------
 
-_POOL_STATE: dict = {}  # a pool worker's _worker_state
-
-
-def _worker_state(config: ExperimentConfig, cache_dir: str, lineage_dir: str) -> dict:
-    train, dev, test = load_corpora(config)
-    return dict(config=config, train=train, dev=dev, test=test,
-                cache_dir=cache_dir, lineage_dir=lineage_dir, masks={})
+_POOL_STATE: dict = {}  # a pool worker's copy of run_experiment's state
 
 
 def _worker_cell(st: dict, args: tuple[str, float, int]) -> RunRecord:
@@ -268,8 +262,8 @@ def _worker_cell(st: dict, args: tuple[str, float, int]) -> RunRecord:
                     st["test"], st["config"], fraction, seed, st["lineage_dir"])
 
 
-def _pool_init(config: ExperimentConfig, cache_dir: str, lineage_dir: str) -> None:
-    _POOL_STATE.update(_worker_state(config, cache_dir, lineage_dir))
+def _pool_init(state: dict) -> None:
+    _POOL_STATE.update(state)
 
 
 def _pool_cell(args: tuple[str, float, int]) -> RunRecord:
@@ -282,15 +276,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> str:
     Writes results.csv (one row per cell, in config order), summary.md
     (mean +/- std per method and fraction), config_echo.json (with absolute
     CoNLL paths) and fresh masks/ and lineage/ directories of sidecars and
-    cross-fit lineage files.  Cells are independent; with workers > 1 they
-    run in a process pool, one (fraction, seed) group per task, and with
-    workers == 1 the same worker functions run them in this process, so the
-    output is the same for any worker count.
+    cross-fit lineage files.  The corpora are read once, into one worker
+    state; cells run on it in a process pool (workers > 1, one (fraction,
+    seed) group per task) or, through the same worker functions, in this
+    process (workers == 1), so the output is the same for any worker count.
     """
     if config.train_path:  # absolute, so `report` can redraw the masks from anywhere
         config = replace(config, **{k: os.path.abspath(getattr(config, k))
                                     for k in ("train_path", "dev_path", "test_path")})
     cache_dir, lineage_dir = os.path.join(out_dir, "masks"), os.path.join(out_dir, "lineage")
+    train, dev, test = load_corpora(config)  # a bad input fails before out_dir changes
+    state = dict(config=config, train=train, dev=dev, test=test,
+                 cache_dir=cache_dir, lineage_dir=lineage_dir, masks={})
     for d in (cache_dir, lineage_dir):  # no earlier run's sidecars or lineage files stay
         shutil.rmtree(d, ignore_errors=True)
     os.makedirs(lineage_dir)
@@ -302,11 +299,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> str:
     workers = config.workers if config.workers is not None else selftrain._usable_cores()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=(config, cache_dir, lineage_dir)) as pool:
+                                 initargs=(state,)) as pool:
             records = list(pool.map(_pool_cell, cells,
                                     chunksize=len(config.methods)))
     else:  # not through _pool_*: perfbench replaces those with worker-only wrappers
-        state = _worker_state(config, cache_dir, lineage_dir)
         records = [_worker_cell(state, cell) for cell in cells]
     n = len(config.methods)  # back to config order: method, fraction, seed
     records = [records[g * n + j] for j in range(n) for g in range(len(groups))]

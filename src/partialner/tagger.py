@@ -425,24 +425,6 @@ class StageTrace:
                 fh.write(f"{self.stage},{i},{f1!r},{int(i in refreshes)}\n")
 
 
-def _fixed_targets(data, scheme: LabelScheme,
-                   ) -> tuple[list[tuple[str, ...]], Callable[..., Iterable[np.ndarray]]]:
-    """Training token sequences and a lookup into their fixed target rows."""
-    if isinstance(data, SoftDataset):
-        if data.scheme.categories != scheme.categories:
-            raise ValueError("soft dataset scheme differs from model scheme")
-        rows = data.rows
-    elif isinstance(data, Corpus):
-        if not data.fully_labelled:
-            raise ValueError("training corpus needs hard labels")
-        rows = one_hot_rows([l for s in data.sentences for l in s.labels], scheme.tag_count)
-    else:
-        raise TypeError(f"cannot train on {type(data).__name__}; "
-                        "expected Corpus or SoftDataset")
-    return [s.tokens for s in data.sentences], \
-        lambda epoch, tok, ids, flags, batches: (rows[tok[b]] for b in batches)
-
-
 def validation_f1(model: TaggerModel, val_enc: EncodedTokens, val_gold: np.ndarray,
                   work: tuple) -> float:
     """Span micro-F1 of argmax predictions over a pre-encoded validation set
@@ -538,9 +520,20 @@ def train(model: TaggerModel, data, val: Corpus) -> tuple[TaggerModel, StageTrac
     `patience` epochs without a validation-F1 improvement, both read from
     `model.config`.  Deterministic given `model.config.seed`.
     """
-    token_seqs, targets = _fixed_targets(data, model.scheme)
-    return fit(StageTable(model, token_seqs, val), targets, "ner_fit", STREAM_TRAIN,
-               model.config.max_epochs, model.config.patience)
+    if isinstance(data, SoftDataset):
+        if data.scheme.categories != model.scheme.categories:
+            raise ValueError("soft dataset scheme differs from model scheme")
+        rows = data.rows
+    elif isinstance(data, Corpus):
+        if not data.fully_labelled:
+            raise ValueError("training corpus needs hard labels")
+        rows = one_hot_rows([l for s in data.sentences for l in s.labels], model.scheme.tag_count)
+    else:
+        raise TypeError(f"cannot train on {type(data).__name__}; "
+                        "expected Corpus or SoftDataset")
+    return fit(StageTable(model, [s.tokens for s in data.sentences], val),
+               lambda epoch, tok, ids, flags, batches: (rows[tok[b]] for b in batches),
+               "ner_fit", STREAM_TRAIN, model.config.max_epochs, model.config.patience)
 
 
 def save_checkpoint(model: TaggerModel, path: str) -> None:

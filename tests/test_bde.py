@@ -174,6 +174,21 @@ class TestLineage:
         assert back == rec
         back.verify()
 
+    @pytest.mark.parametrize("extra,message", [
+        ("scored,1,2 3\n", "second scored row for fold 1"),
+        ("train,0,2 3\n", "second train row for fold 0"),
+        ("train,2,0 1 2 3\n", "folds [0, 1, 2] trained, [0, 1] scored"),
+        ("scored,2,\n", "folds [0, 1] trained, [0, 1, 2] scored"),
+    ], ids=["repeated-scored-row", "repeated-train-row", "train-fold-unscored",
+            "scored-fold-untrained"])
+    def test_csv_that_contradicts_itself_is_rejected(self, tmp_path, extra, message):
+        path = tmp_path / "lineage.csv"
+        good_lineage().write_csv(str(path))
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write(extra)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            LineageRecord.read_csv(str(path))
+
 
 class TestSoftIO:
     def test_roundtrip_is_bitwise(self, splits, masked, tmp_path):

@@ -148,6 +148,14 @@ class TestExitCodes:
         assert rc == 2
         assert "unknown synth config keys" in capsys.readouterr().err
 
+    def test_bad_synth_categories_are_a_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "synth.json"
+        bad.write_text(json.dumps({"categories": []}))
+        rc = cli.main(["synth", "--config", str(bad), "--out", str(tmp_path / "c.conll")])
+        assert rc == 2
+        assert "error: LabelScheme needs at least one category" in capsys.readouterr().err
+        assert not (tmp_path / "c.conll").exists()
+
     def test_json_array_config_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "synth.json"
         bad.write_text(json.dumps([["n_sentences", 5]]))
@@ -211,11 +219,12 @@ class TestExitCodes:
          "synth: gazetteers must be Mapping[str, tuple[str, ...]] | None, got {'PER': 'Bob'}"),
         ({"synth": {"gazetteers": ["PER"]}},
          "synth: gazetteers must be Mapping[str, tuple[str, ...]] | None, got ['PER']"),
+        ({"synth": {"categories": []}}, "synth: LabelScheme needs at least one category"),
     ], ids=["self-train-epochs-0", "refresh-period-0", "patience-0", "seeds-string",
             "self-train-epochs-float", "max-epochs-float", "dev-sentences-0",
             "fractions-number", "synth-list", "synth-n-sentences-string",
             "synth-categories-string", "mask-seed-string", "synth-n-sentences-0",
-            "synth-gazetteer-string", "synth-gazetteers-list"])
+            "synth-gazetteer-string", "synth-gazetteers-list", "synth-no-categories"])
     def test_bad_experiment_config_is_usage_error(self, tmp_path, capsys, config, message):
         # rejected before any cell runs, not reported per cell with exit 0
         bad = tmp_path / "experiment.json"
@@ -440,6 +449,23 @@ def experiment_run(workdir):
     return cfg_path, out_dir
 
 
+@pytest.fixture(scope="module")
+def bde_run(workdir):
+    """A run with a mask sidecar and a lineage file."""
+    out_dir = workdir / "expBde"
+    cfg = dict(experiment_config(workdir, out_dir), seeds=[0],
+               methods=["supervised", "bde:supervised+supervised"])
+    cfg_path = workdir / "bde_experiment.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
+    assert os.listdir(out_dir / "masks") and os.listdir(out_dir / "lineage")
+    return out_dir
+
+
+def file_bytes(root):
+    return {path.relative_to(root): path.read_bytes() for path in root.rglob("*")}
+
+
 class TestExperimentAndReport:
     def test_out_dir_from_config_json(self, experiment_run):
         _, out_dir = experiment_run
@@ -484,7 +510,7 @@ class TestExperimentAndReport:
         assert cli.main(["report", str(out_dir)]) == 0
         assert "report OK" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("tamper", ["overlap", "unreadable"])
+    @pytest.mark.parametrize("tamper", ["overlap", "unreadable", "repeated-row"])
     def test_report_rejects_tampered_lineage(self, workdir, tmp_path, capsys, tamper):
         cfg = experiment_config(workdir, tmp_path / "bde")
         cfg.update(seeds=[0], methods=["bde:supervised+supervised"])
@@ -498,8 +524,11 @@ class TestExperimentAndReport:
         if tamper == "overlap":  # fold 0 also trains on a sentence it scores
             record.fold_train_ids[0].append(record.fold_scored_ids[0][0])
             record.write_csv(str(path))
-        else:
+        elif tamper == "unreadable":
             path.write_text("record,fold,sentence_ids\nscored,0,x\n")
+        else:  # the last row again: read back, the record itself would still verify
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(lines + lines[-1:]))
         rc = cli.main(["report", str(tmp_path / "bde")])
         out = capsys.readouterr().out
         assert rc == 1
@@ -577,6 +606,33 @@ class TestExperimentAndReport:
             assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
         assert os.listdir(tmp_path / "run" / "lineage") == []
         assert cli.main(["report", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fault", ["missing-train-path", "unknown-slot"])
+    def test_bad_input_leaves_the_earlier_run(self, workdir, bde_run, tmp_path, capsys,
+                                              fault, workers):
+        """Corpora that cannot be read or generated end the run with the real
+        error, at any worker count, before it changes its run directory."""
+        run = tmp_path / "run"
+        shutil.copytree(bde_run, run)
+        cfg = dict(experiment_config(workdir, run), workers=workers)
+        if fault == "missing-train-path":
+            del cfg["synth"]
+            cfg.update(train_path=str(tmp_path / "nope.conll"),
+                       dev_path=str(workdir / "dev.conll"), test_path=str(workdir / "test.conll"))
+            message = f"error: [Errno 2] No such file or directory: '{tmp_path / 'nope.conll'}'"
+        else:  # the default templates also have {LOC}, {ORG} and {MISC} slots
+            cfg["synth"] = dict(cfg["synth"], categories=["PER"])
+            message = "error: template slot '{LOC}' names an unknown category"
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli.main(["experiment", "--config", str(cfg_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        for name in ("masks", "lineage"):
+            assert file_bytes(run / name) == file_bytes(bde_run / name)
+        assert cli.main(["report", str(run)]) == 0
         capsys.readouterr()
 
     def test_report_runs_from_another_directory(self, workdir, tmp_path, monkeypatch,

@@ -303,8 +303,12 @@ class TestSynthetic:
         (dict(templates=("{PER} met -DOCSTART- .",)), "-DOCSTART- as a template or gazetteer word"),
         (dict(gazetteers={"PER": ("Anna", "Omar -DOCSTART-")}),
          "-DOCSTART- as a template or gazetteer word"),
+        (dict(categories=()), "LabelScheme needs at least one category"),
+        (dict(categories=("PER", "LOC", "PER")), "duplicate categories"),
+        (dict(categories=("PER", "NEW LOC")), "category names must be non-empty"),
     ], ids=["unknown-slot", "empty-gazetteer", "blank-template", "empty-pool",
-            "docstart-template-word", "docstart-gazetteer-word"])
+            "docstart-template-word", "docstart-gazetteer-word", "no-categories",
+            "duplicate-categories", "whitespace-category"])
     def test_bad_templates(self, change, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             generate_synthetic(SynthConfig(n_sentences=5, seed=1, **change))

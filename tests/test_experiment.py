@@ -415,6 +415,30 @@ class TestWorkerMasks:
         assert all(keys == [fraction] for fraction, *keys in held)
 
 
+class TestOneWorkerState:
+    """run_experiment reads the corpora once, in this process, before it
+    empties masks/ and lineage/; pool workers receive them."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_corpora_load_once_in_the_parent_first(self, tmp_path, monkeypatch, workers):
+        out_dir = tmp_path / "run"
+        cfg = smoke_config(methods=("supervised",), workers=workers)
+        run_experiment(cfg, str(out_dir))
+        masks = sorted(os.listdir(out_dir / "masks"))
+        log = tmp_path / "load.log"  # forked workers inherit the spy and append here
+        real = experiment.load_corpora
+
+        def spy(config):
+            held = sorted(os.listdir(out_dir / "masks")) if (out_dir / "masks").is_dir() else []
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {held}\n")
+            return real(config)
+        monkeypatch.setattr(experiment, "load_corpora", spy)
+        rows = read_rows(run_experiment(cfg, str(out_dir)))[1:]
+        assert all(r[RESULT_COLUMNS.index("error")] == "" for r in rows)
+        assert log.read_text().splitlines() == [f"{os.getpid()} {masks}"]
+
+
 class TestSharedEstimate:
     """Both bde: finals of one inner method share each cross-fit estimate."""
 
